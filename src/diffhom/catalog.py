@@ -26,8 +26,7 @@ from .errors import InvalidCompositionError, InvalidIndexError
 from .jets import JetContext, diff_homog_basis
 from .polynomials import Poly, determinant, falling_factorial, jet_var
 from .resources import DEFAULT_CAPS, ResourceCaps
-from .spans import monomial_columns, poly_row, rank_modulo, span_rank
-from .linalg import echelon_of
+from .spans import rank_modulo, span_rank, spans_equal
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +385,7 @@ def verify_quotient_basis(
         build_generator(idx, n, d) for idx in top_order_nested_indices(n, d, caps)
     ]
 
-    columns = monomial_columns(full.elements + lower_elements + family)
-    full_ech = echelon_of(poly_row(p, columns) for p in full.elements)
-    combined = echelon_of(poly_row(p, columns) for p in lower_elements + family)
-    spans = (
-        combined.rank == full_ech.rank
-        and all(full_ech.contains(poly_row(p, columns)) for p in lower_elements + family)
-    )
+    spans = spans_equal(full.elements, lower_elements + family)
     independent = rank_modulo(family, lower_elements) == len(family)
     return QuotientBasisReport(
         n=n,
@@ -459,15 +452,12 @@ def degree_generation_entry(
     basis = diff_homog_basis(JetContext(n, k, degree), caps)
     products = _degree_products(catalog, degree)
     caps.check("max_products", len(products))
-    columns = monomial_columns(products + basis.elements)
-    basis_ech = echelon_of(poly_row(p, columns) for p in basis.elements)
-    contained = all(basis_ech.contains(poly_row(p, columns)) for p in products)
     return DegreeGenerationEntry(
         degree=degree,
         product_count=len(products),
         rank=span_rank(products) if products else 0,
         invariant_dimension=basis.dimension,
-        contained=contained,
+        contained=rank_modulo(products, basis.elements) == 0,
     )
 
 

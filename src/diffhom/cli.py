@@ -22,6 +22,14 @@ from .resources import caps_from_env
 from .suite import SuiteConfig, export, report_to_dict, run_suite
 
 
+def _at_least(args, **minima) -> None:
+    """Reject integer options below their minimum (exit 2, one line)."""
+    for name, low in minima.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise ConfigError(f"--{name} must be at least {low}, got {value}")
+
+
 def _cmd_dim(args) -> int:
     caps = caps_from_env()
     ctx = jets.JetContext(args.N, args.k, args.d)
@@ -49,6 +57,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_tensor_inv(args) -> int:
+    _at_least(args, k=0, d=1)
     caps = caps_from_env()
     basis = ten.invariant_tensor_basis(args.k, args.d, caps)
     print(f"k={args.k} d={args.d}: dimension {len(basis)}")
@@ -60,6 +69,7 @@ def _cmd_tensor_inv(args) -> int:
 
 
 def _cmd_harmonic(args) -> int:
+    _at_least(args, d=1, k=0)
     caps = caps_from_env()
     kernel = len(har.perp_basis(har.ik_presentation(args.d, args.k), args.k, caps))
     quotient = har.quotient_dimension(args.d, args.k, caps)
@@ -85,6 +95,7 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_dcp(args) -> int:
+    _at_least(args, d=1, k=0, cap=0)
     caps = caps_from_env()
     report = har.verify_dcp_equality(args.d, args.k, args.cap, caps)
     mu = har.balanced_partition(args.d, args.k)
@@ -127,6 +138,7 @@ def _cmd_tableaux(args) -> int:
 
 
 def _cmd_generators(args) -> int:
+    _at_least(args, N=0, k=0)
     caps = caps_from_env()
     catalog = cat.build_catalog(args.N, args.k, caps)
     payload = {
@@ -166,6 +178,7 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_least(args, N=1, k=0, dmax=1)
     caps = caps_from_env()
     ok = True
     for degree in range(2, args.k + 2):
@@ -194,6 +207,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
+    _at_least(args, d=1, N=0)
     caps = caps_from_env()
     indices = cat.top_order_indices(args.d, caps)
     sizes = cat.model_class_sizes(args.d, caps)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .errors import IndexOutOfRangeError
-from .linalg import echelon_of, nullspace, rank_of
+from .linalg import echelon_of, image_rows, nullspace, rank_of
 from .polynomials import (
     Poly,
     Z_VAR,
@@ -251,6 +251,24 @@ def _z_exponents(p: Poly, d: int) -> list:
     return out
 
 
+def _derivative(exp: tuple, terms) -> dict:
+    """Apply the operator sum c*(d/dZ)^q over terms (q, c) to the monomial Z^exp."""
+    out = {}
+    for qexp, qc in terms:
+        if any(e < q for e, q in zip(exp, qexp)):
+            continue
+        coeff = qc
+        for e, q in zip(exp, qexp):
+            if q:
+                coeff *= falling_factorial(e, q)
+        out[tuple(e - q for e, q in zip(exp, qexp))] = coeff
+    return out
+
+
+def _z_monomial(exp: tuple) -> tuple:
+    return tuple(sorted((z_var(i + 1), e) for i, e in enumerate(exp) if e))
+
+
 def apply_poly_operator(q: Poly, p: Poly) -> Poly:
     """Apply the differential operator of q (Z_i -> d/dZ_i) to p."""
     d = 0
@@ -259,16 +277,9 @@ def apply_poly_operator(q: Poly, p: Poly) -> Poly:
     result: dict = {}
     q_terms = _z_exponents(q, d)
     for pexp, pc in _z_exponents(p, d):
-        for qexp, qc in q_terms:
-            if any(pe < qe for pe, qe in zip(pexp, qexp)):
-                continue
-            coeff = pc * qc
-            for pe, qe in zip(pexp, qexp):
-                if qe:
-                    coeff *= falling_factorial(pe, qe)
-            out = tuple(pe - qe for pe, qe in zip(pexp, qexp))
-            mono = tuple(sorted((z_var(i + 1), e) for i, e in enumerate(out) if e))
-            s = result.get(mono, 0) + coeff
+        for out, coeff in _derivative(pexp, q_terms).items():
+            mono = _z_monomial(out)
+            s = result.get(mono, 0) + pc * coeff
             if s:
                 result[mono] = s
             else:
@@ -295,30 +306,19 @@ def perp_basis(
     d = presentation.nvars
     caps.check("max_box", (box_bound + 1) ** d)
     cols = _box_columns(d, box_bound)
-    col_index = {b: i for i, b in enumerate(cols)}
-    rows: dict = {}
-    for gi, gen in enumerate(presentation.generators):
-        terms = _z_exponents(gen, d)
-        for b in cols:
-            for qexp, qc in terms:
-                if any(be < qe for be, qe in zip(b, qexp)):
-                    continue
-                coeff = qc
-                for be, qe in zip(b, qexp):
-                    if qe:
-                        coeff *= falling_factorial(be, qe)
-                out = tuple(be - qe for be, qe in zip(b, qexp))
-                row = rows.setdefault((gi, out), {})
-                row[col_index[b]] = row.get(col_index[b], 0) + coeff
-    basis = []
-    for vec in nullspace(rows.values(), len(cols)):
-        terms = {}
-        for ci, val in vec.items():
-            b = cols[ci]
-            mono = tuple(sorted((z_var(i + 1), e) for i, e in enumerate(b) if e))
-            terms[mono] = Fraction(val)
-        basis.append(Poly(terms))
-    return basis
+    gen_terms = [_z_exponents(gen, d) for gen in presentation.generators]
+    images = (
+        {
+            (gi, out): c
+            for gi, terms in enumerate(gen_terms)
+            for out, c in _derivative(b, terms).items()
+        }
+        for b in cols
+    )
+    return [
+        Poly({_z_monomial(cols[ci]): Fraction(val) for ci, val in vec.items()})
+        for vec in nullspace(image_rows(images), len(cols))
+    ]
 
 
 def _exponents_of_degree(d: int, degree: int):
@@ -328,6 +328,24 @@ def _exponents_of_degree(d: int, degree: int):
     for first in range(degree + 1):
         for rest in _exponents_of_degree(d - 1, degree - first):
             yield (first,) + rest
+
+
+def _product_rows(pairs, col_index: dict) -> list:
+    """Rows of the products m*g for (monomial exponent m, terms of g) pairs.
+
+    Product monomials outside col_index are dropped, which is how the box
+    computations work modulo the pure powers above the box bound.
+    """
+    rows = []
+    for m, terms in pairs:
+        row = {}
+        for exp, c in terms:
+            ci = col_index.get(tuple(me + ee for me, ee in zip(m, exp)))
+            if ci is not None:
+                row[ci] = c
+        if row:
+            rows.append(row)
+    return rows
 
 
 def _box_quotient_dimension(
@@ -342,26 +360,11 @@ def _box_quotient_dimension(
     """
     caps.check("max_box", (box_bound + 1) ** d)
     cols = _box_columns(d, box_bound)
-    col_index = {b: i for i, b in enumerate(cols)}
     gen_terms = [_z_exponents(g, d) for g in generators]
     caps.check("max_products", len(cols) * max(1, len(gen_terms)))
-    rows = []
-    for terms in gen_terms:
-        for m in cols:
-            row: dict = {}
-            for exp, c in terms:
-                target = tuple(me + ee for me, ee in zip(m, exp))
-                if any(t > box_bound for t in target):
-                    continue
-                ci = col_index[target]
-                s = row.get(ci, 0) + c
-                if s:
-                    row[ci] = s
-                else:
-                    row.pop(ci, None)
-            if row:
-                rows.append(row)
-    return len(cols) - rank_of(rows)
+    col_index = {b: i for i, b in enumerate(cols)}
+    pairs = ((m, terms) for m in cols for terms in gen_terms)
+    return len(cols) - rank_of(_product_rows(pairs, col_index))
 
 
 def quotient_dimension(d: int, k: int, caps: ResourceCaps | None = None) -> int:
@@ -408,8 +411,10 @@ def ideal_membership(
 
     True means p is an exact linear combination of monomial multiples m*g of
     the generators with deg(m*g) <= degree_cap.  False only means "not
-    certified within the cap", never a disproof.  Homogeneous inputs are
-    tested degree by degree, which is equivalent and much smaller.
+    certified within the cap", never a disproof.  With homogeneous
+    generators the bounded span is graded, so each homogeneous part of p is
+    tested alone in its own degree, which is equivalent and much smaller;
+    otherwise p is tested in all degrees 0..degree_cap at once.
     """
     caps = caps or DEFAULT_CAPS
     if degree_cap is None:
@@ -417,82 +422,37 @@ def ideal_membership(
     if p.is_zero:
         return True
     d = presentation.nvars
-    _z_exponents(p, d)  # validates the variable universe
-
-    by_degree: dict[int, dict] = {}
-    for mono, c in p.terms.items():
-        deg = sum(e for _, e in mono)
-        by_degree.setdefault(deg, {})[mono] = c
-    if all(g.is_homogeneous(g.total_degree()) for g in presentation.generators):
-        # the bounded span is graded, so each homogeneous part certifies alone
-        if max(by_degree) > degree_cap:
-            return False
-        return all(
-            _graded_membership(Poly(part), deg, presentation, caps)
-            for deg, part in by_degree.items()
-        )
-    return _general_membership(p, presentation, degree_cap, caps)
-
-
-def _graded_membership(
-    part: Poly, degree: int, presentation: IdealPresentation, caps: ResourceCaps
-) -> bool:
-    d = presentation.nvars
-    cols = {exp: i for i, exp in enumerate(sorted(_exponents_of_degree(d, degree)))}
-    rows = []
-    for gen in presentation.generators:
-        gd = gen.total_degree()
-        if gd > degree:
-            continue
-        terms = _z_exponents(gen, d)
-        count = comb(degree - gd + d - 1, d - 1)
-        caps.check("max_products", len(rows) + count)
-        for m in _exponents_of_degree(d, degree - gd):
-            row: dict = {}
-            for exp, c in terms:
-                ci = cols[tuple(me + ee for me, ee in zip(m, exp))]
-                s = row.get(ci, 0) + c
-                if s:
-                    row[ci] = s
-                else:
-                    row.pop(ci, None)
-            if row:
-                rows.append(row)
-    target = {cols[exp]: c for exp, c in _z_exponents(part, d)}
-    return echelon_of(rows).contains(target)
-
-
-def _general_membership(
-    p: Poly, presentation: IdealPresentation, degree_cap: int, caps: ResourceCaps
-) -> bool:
-    if p.total_degree() > degree_cap:
+    p_terms = _z_exponents(p, d)  # also validates the variable universe
+    if max(sum(exp) for exp, _ in p_terms) > degree_cap:
         return False
-    d = presentation.nvars
-    all_monos = [
-        exp
-        for deg in range(degree_cap + 1)
-        for exp in sorted(_exponents_of_degree(d, deg))
-    ]
-    cols = {exp: i for i, exp in enumerate(all_monos)}
-    rows = []
-    for gen in presentation.generators:
-        gd = gen.total_degree()
-        terms = _z_exponents(gen, d)
-        for deg in range(degree_cap - gd + 1):
-            for m in _exponents_of_degree(d, deg):
-                row: dict = {}
-                for exp, c in terms:
-                    ci = cols[tuple(me + ee for me, ee in zip(m, exp))]
-                    s = row.get(ci, 0) + c
-                    if s:
-                        row[ci] = s
-                    else:
-                        row.pop(ci, None)
-                if row:
-                    rows.append(row)
-                caps.check("max_products", len(rows))
-    target = {cols[exp]: c for exp, c in _z_exponents(p, d)}
-    return echelon_of(rows).contains(target)
+    gens = [(g.total_degree(), _z_exponents(g, d)) for g in presentation.generators]
+
+    windows: dict[tuple, dict] = {}
+    if all(g.is_homogeneous(g.total_degree()) for g in presentation.generators):
+        for exp, c in p_terms:
+            windows.setdefault((sum(exp), sum(exp)), {})[exp] = c
+    else:
+        windows[(0, degree_cap)] = dict(p_terms)
+    for (lo, hi), target in windows.items():
+        multipliers = [
+            (deg, terms)
+            for gd, terms in gens
+            for deg in range(max(0, lo - gd), hi - gd + 1)
+        ]
+        caps.check(
+            "max_products", sum(comb(deg + d - 1, d - 1) for deg, _ in multipliers)
+        )
+        cols = [
+            exp for deg in range(lo, hi + 1) for exp in sorted(_exponents_of_degree(d, deg))
+        ]
+        col_index = {exp: i for i, exp in enumerate(cols)}
+        pairs = (
+            (m, terms) for deg, terms in multipliers for m in _exponents_of_degree(d, deg)
+        )
+        ech = echelon_of(_product_rows(pairs, col_index))
+        if not ech.contains({col_index[exp]: c for exp, c in target.items()}):
+            return False
+    return True
 
 
 @dataclass
@@ -667,36 +627,27 @@ def verify_block_surjectivity(
     else:
         partitions.extend(_equal_blocks(slots, k + 1))
 
-    def family_for(parts) -> list[Poly]:
-        polys = []
-        for blocks in parts:
-            alpha_pools = [canonical_wronskian_exponents(len(b)) for b in blocks]
-            for alphas in product(*alpha_pools):
-                polys.append(_block_product(blocks, alphas, k, d))
-        return polys
+    def family_rank(parts) -> int:
+        family = [
+            _block_product(blocks, alphas, k, d)
+            for blocks in parts
+            for alphas in product(*(canonical_wronskian_exponents(len(b)) for b in blocks))
+        ]
+        caps.check("max_products", len(family))
+        return rank_of(tensor_from_multilinear(p, d, k).coords for p in family)
 
-    family = family_for(partitions)
-    caps.check("max_products", len(family))
-    tensors = [tensor_from_multilinear(p, d, k) for p in family]
-    cols = sorted(product(range(k + 1), repeat=d))
-    col_index = {idx: i for i, idx in enumerate(cols)}
-    rank = rank_of({col_index[idx]: c for idx, c in t.coords.items()} for t in tensors)
+    rank = family_rank(partitions)
     expected = quotient_dimension(d, k, caps)
 
     escalated = False
     if rank < expected:
         escalated = True
-        from itertools import permutations
-
+        caps.check("max_enumeration", factorial(d))
         all_parts = []
         for sigma in permutations(slots):
             blocks = [tuple(sorted(sigma[i * (k + 1) : (i + 1) * (k + 1)])) for i in range(q)]
             if r:
                 blocks.append(tuple(sorted(sigma[q * (k + 1) :])))
             all_parts.append(tuple(blocks))
-        family = family_for(all_parts)
-        tensors = [tensor_from_multilinear(p, d, k) for p in family]
-        rank = rank_of(
-            {col_index[idx]: c for idx, c in t.coords.items()} for t in tensors
-        )
+        rank = family_rank(all_parts)
     return BlockSurjectivityReport(d, k, len(partitions), rank, expected, escalated)

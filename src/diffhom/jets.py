@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from .errors import IndexOutOfRangeError, UnsupportedVariableError
-from .linalg import nullspace
+from .linalg import image_rows, nullspace
 from .polynomials import JET_X, Poly, VarId, jet_var, mono_sort_key, series_coeff
 from .resources import DEFAULT_CAPS, ResourceCaps
 
@@ -131,17 +131,15 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
     images = {v: leibniz_image(v.i, v.j, ctx) for v in variables}
     lam0_d = Poly.variable(series_coeff(0)) ** ctx.d
 
+    def defect(mono) -> dict:
+        p = Poly({mono: Fraction(1)})
+        return (p.substitute(images) - p * lam0_d).terms
+
     basis = InvariantBasis(ctx)
     for w in sorted(blocks):
         columns = sorted(blocks[w], key=mono_sort_key)
-        col_index = {m: i for i, m in enumerate(columns)}
-        rows: dict = {}
-        for mono, ci in col_index.items():
-            p = Poly({mono: Fraction(1)})
-            diff = p.substitute(images) - p * lam0_d
-            for m, c in diff.terms.items():
-                rows.setdefault(m, {})[ci] = c
-        for vi, vec in enumerate(nullspace(rows.values(), len(columns))):
+        kernel = nullspace(image_rows(defect(mono) for mono in columns), len(columns))
+        for vi, vec in enumerate(kernel):
             poly = Poly({columns[ci]: Fraction(val) for ci, val in vec.items()})
             basis.elements.append(poly)
             basis.provenance.append(f"w{w}/v{vi}")

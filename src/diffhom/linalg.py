@@ -1,15 +1,22 @@
 """Exact linear algebra over the rationals with sparse integer rows.
 
-Rows are dicts mapping column index -> nonzero integer, kept primitive
-(content 1).  Elimination is fraction-free: to cancel column c of row r
-against pivot row p one forms r*p[c] - p*r[c] and strips the content, so no
-Fraction arithmetic happens in the hot loop.
+Rows are dicts mapping column key -> nonzero integer, kept primitive
+(content 1).  A column key is usually an index but may be any totally
+ordered hashable (an exponent tuple, a (grade, tuple) pair); pivot order
+follows key order, so the pivot of a row is its smallest key.  Elimination
+is fraction-free: to cancel column c of row r against pivot row p one forms
+r*p[c] - p*r[c] and strips the content, so no Fraction arithmetic happens
+in the hot loop.
 
 The Echelon container maintains a reduced row echelon form incrementally.
 Because the RREF of a row space is unique, the resulting pivot rows (primitive,
 positive pivot entries) are canonical: independent of insertion order, machine
 and platform.  Null spaces derived from it are therefore deterministic,
 which the golden-file tests rely on.
+
+A linear operator enters as the images of its columns: `image_rows` turns
+"column i maps to the sparse vector images[i]" into one constraint row per
+output key, so the kernel of those rows is the kernel of the operator.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-Row = dict  # dict[int, int], primitive
+Row = dict  # dict[key, int], primitive
 
 
 def int_row(row: Mapping[int, object]) -> Row:
@@ -120,6 +127,19 @@ class Echelon:
     def contains(self, row: Mapping[int, object]) -> bool:
         """True iff the row lies in the span of the inserted rows."""
         return not self.reduce(row)
+
+
+def image_rows(images: Iterable[Mapping[object, object]]) -> list[dict]:
+    """Constraint rows of the map sending column i to the sparse dict images[i].
+
+    One row per output key, in order of first appearance, mapping each
+    column index to that column's coefficient at the key.
+    """
+    rows: dict = {}
+    for i, image in enumerate(images):
+        for out, c in image.items():
+            rows.setdefault(out, {})[i] = c
+    return list(rows.values())
 
 
 def echelon_of(rows: Iterable[Mapping[int, object]]) -> Echelon:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .errors import ResourceLimitError
+from .errors import ConfigError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,13 @@ def caps_from_env(base: ResourceCaps | None = None) -> ResourceCaps:
     overrides = {}
     for env_name, field in _ENV_FIELDS.items():
         raw = os.environ.get(env_name)
-        if raw is not None:
-            overrides[field] = int(raw)
+        if raw is None:
+            continue
+        try:
+            value = int(raw)
+        except ValueError:
+            value = 0  # reported below like any other non-positive value
+        if value < 1:
+            raise ConfigError(f"{env_name} must be a positive integer, got {raw!r}")
+        overrides[field] = value
     return replace(caps, **overrides) if overrides else caps

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .linalg import Echelon, echelon_of, rank_of
+from .linalg import echelon_of, rank_of
 from .polynomials import Poly, mono_sort_key
 
 
@@ -25,11 +25,6 @@ def poly_row(p: Poly, columns: dict) -> dict:
 def span_rank(polys: Sequence[Poly]) -> int:
     columns = monomial_columns(polys)
     return rank_of(poly_row(p, columns) for p in polys)
-
-
-def span_echelon(polys: Sequence[Poly]) -> tuple[Echelon, dict]:
-    columns = monomial_columns(polys)
-    return echelon_of(poly_row(p, columns) for p in polys), columns
 
 
 def in_span(p: Poly, polys: Sequence[Poly]) -> bool:

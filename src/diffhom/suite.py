@@ -41,6 +41,11 @@ COUNTING_MODEL_DEGREES = (2, 3, 4, 5, 6)
 COUNTING_NESTED_MAX_N = 3
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass but never a count or a cap."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     n_values: tuple = (1, 2, 3)
@@ -62,7 +67,7 @@ class SuiteConfig:
                 if (
                     not isinstance(values, (list, tuple))
                     or not values
-                    or not all(isinstance(v, int) and v >= 0 for v in values)
+                    or not all(_is_int(v) and v >= 0 for v in values)
                 ):
                     raise ConfigError(f"{key} must be a non-empty list of integers")
                 updates[key] = tuple(sorted(set(values)))
@@ -74,7 +79,7 @@ class SuiteConfig:
             unknown = set(caps_data) - valid
             if unknown:
                 raise ConfigError(f"unknown cap names: {sorted(unknown)}")
-            if not all(isinstance(v, int) and v > 0 for v in caps_data.values()):
+            if not all(_is_int(v) and v > 0 for v in caps_data.values()):
                 raise ConfigError("caps must be positive integers")
             updates["caps"] = replace(DEFAULT_CAPS, **caps_data)
         if "format" in data:
@@ -82,7 +87,7 @@ class SuiteConfig:
                 raise ConfigError("format must be one of text|json|csv")
             updates["output_format"] = data["format"]
         if "seed" in data:
-            if not isinstance(data["seed"], int):
+            if not _is_int(data["seed"]):
                 raise ConfigError("seed must be an integer")
             updates["seed"] = data["seed"]
         return replace(cfg, **updates)

@@ -29,7 +29,7 @@ from itertools import combinations, product
 from math import factorial
 
 from .errors import IndexOutOfRangeError
-from .linalg import echelon_of, int_row, nullspace, rank_of
+from .linalg import echelon_of, image_rows, nullspace, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
@@ -222,24 +222,16 @@ def expand_one_parameter(t: Tensor, alpha: Fraction) -> Tensor:
     return Tensor(t.k, t.d, dict(coords))
 
 
-def _box_by_grade(k: int, d: int) -> dict:
-    blocks: dict[int, list] = {}
-    for idx in product(range(k + 1), repeat=d):
-        blocks.setdefault(sum(idx), []).append(idx)
-    for grade in blocks:
-        blocks[grade].sort()
-    return blocks
-
-
 def invariant_tensor_basis(
     k: int, d: int, caps: ResourceCaps | None = None, matrix=None
 ) -> list[Tensor]:
     """Canonical basis of the joint kernel of all insertion operators.
 
-    For the canonical shift the computation is graded by the coordinate sum
-    and the operator kernels are intersected iteratively.  Passing an
-    explicit operator matrix (e.g. a conjugated shift) falls back to one
-    stacked kernel computation; that path is intended for small boxes only.
+    The operator kernels are intersected iteratively, one insertion order at
+    a time, inside blocks of the box.  For the canonical shift the blocks
+    are the grades (coordinate sums), which every insertion operator shifts
+    uniformly; an explicit operator matrix (e.g. a conjugated shift) need
+    not respect the grading, so the whole box is one block.
 
     The returned basis is the reduced echelon basis over the box
     coordinates ordered by (grade, index tuple): deterministic and, for
@@ -249,66 +241,33 @@ def invariant_tensor_basis(
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
 
-    if matrix is not None:
-        cols = sorted(product(range(k + 1), repeat=d))
-        col_index = {idx: i for i, idx in enumerate(cols)}
-        rows = []
-        for ell in range(1, d + 1):
-            images = {}
-            for idx in cols:
-                img = insertion_operator(Tensor.unit(k, d, idx), ell, matrix)
-                for out, c in img.coords.items():
-                    images.setdefault(out, {})[col_index[idx]] = c
-            rows.extend(images.values())
-        return [
-            Tensor.make(k, d, {cols[ci]: Fraction(v) for ci, v in vec.items()})
-            for vec in nullspace(rows, len(cols))
-        ]
-
-    blocks = _box_by_grade(k, d)
-    # per grade, a list of kernel vectors as sparse dicts over index tuples
-    kernels: dict[int, list[dict]] = {
-        grade: [{idx: Fraction(1)} for idx in idxs] for grade, idxs in blocks.items()
-    }
+    # per block, kernel vectors as sparse integer dicts over index tuples
+    blocks: dict[int, list[dict]] = {}
+    for idx in product(range(k + 1), repeat=d):
+        blocks.setdefault(sum(idx) if matrix is None else 0, []).append({idx: 1})
     for ell in range(1, d + 1):
-        for grade in sorted(kernels):
-            vectors = kernels[grade]
-            if not vectors:
-                continue
-            constraint_rows: dict = {}
-            for ci, vec in enumerate(vectors):
-                image = insertion_operator(Tensor(k, d, vec), ell)
-                for out, c in image.coords.items():
-                    constraint_rows.setdefault(out, {})[ci] = c
-            if not constraint_rows:
-                continue
-            combos = nullspace(constraint_rows.values(), len(vectors))
+        for block, vectors in blocks.items():
+            images = (
+                insertion_operator(Tensor(k, d, vec), ell, matrix).coords for vec in vectors
+            )
             new_vectors = []
-            for combo in combos:
+            for combo in nullspace(image_rows(images), len(vectors)):
                 acc: dict = {}
                 for ci, weight in combo.items():
                     for idx, c in vectors[ci].items():
-                        v = acc.get(idx, 0) + weight * c
-                        if v:
-                            acc[idx] = v
-                        else:
-                            acc.pop(idx, None)
-                new_vectors.append(acc)
-            kernels[grade] = new_vectors
+                        acc[idx] = acc.get(idx, 0) + weight * c
+                new_vectors.append({idx: c for idx, c in acc.items() if c})
+            blocks[block] = new_vectors
 
-    # canonical form: reduced echelon basis over (grade, tuple)-ordered columns
-    cols = [idx for grade in sorted(blocks) for idx in blocks[grade]]
-    col_index = {idx: i for i, idx in enumerate(cols)}
     ech = echelon_of(
-        int_row({col_index[idx]: c for idx, c in vec.items()})
-        for grade in sorted(kernels)
-        for vec in kernels[grade]
+        {(sum(idx), idx): c for idx, c in vec.items()}
+        for vectors in blocks.values()
+        for vec in vectors
     )
-    basis = []
-    for pivot in sorted(ech.pivots):
-        row = ech.pivots[pivot]
-        basis.append(Tensor.make(k, d, {cols[ci]: Fraction(v) for ci, v in row.items()}))
-    return basis
+    return [
+        Tensor.make(k, d, {idx: Fraction(v) for (_, idx), v in ech.pivots[key].items()})
+        for key in sorted(ech.pivots)
+    ]
 
 
 def wronskian(alpha, d: int | None = None, k: int | None = None) -> Poly:
@@ -393,9 +352,7 @@ def verify_wronskian_basis(d: int, caps: ResourceCaps | None = None) -> Wronskia
     all_invariant = all(
         insertion_operator(t, ell).is_zero for t in tensors for ell in range(1, d + 1)
     )
-    cols = sorted(product(range(k + 1), repeat=d))
-    col_index = {idx: i for i, idx in enumerate(cols)}
-    rank = rank_of({col_index[idx]: c for idx, c in t.coords.items()} for t in tensors)
+    rank = rank_of(t.coords for t in tensors)
     kernel_dim = len(invariant_tensor_basis(k, d, caps))
     return WronskianBasisReport(
         d=d,

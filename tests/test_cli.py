@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from diffhom.cli import main
 
 
@@ -162,3 +164,48 @@ def test_verify_all_missing_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify-all", "--config", str(tmp_path / "nope.json"))
     assert code == 2
     assert "cannot read configuration" in err
+
+
+def test_env_cap_must_be_a_positive_integer(capsys, monkeypatch):
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("DIFFHOM_MAX_BOX", raw)
+        code, _, err = run_cli(capsys, "tensor-inv", "--k", "1", "--d", "2")
+        assert code == 2
+        assert err.startswith("configuration error: DIFFHOM_MAX_BOX")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"caps": {"max_box": True}}, {"d_values": [True, 2]}, {"k_values": [False]}],
+)
+def test_verify_all_rejects_bools(capsys, tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify-all", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tensor-inv", "--k", "-1", "--d", "2"),
+        ("tensor-inv", "--k", "1", "--d", "0"),
+        ("sigma", "--d", "0"),
+        ("sigma", "--d", "2", "--N", "-1"),
+        ("generators", "--N", "1", "--k", "-1"),
+        ("generators", "--N", "-1", "--k", "1"),
+        ("harmonic", "--d", "0", "--k", "1"),
+        ("harmonic", "--d", "2", "--k", "-1"),
+        ("dcp", "--d", "2", "--k", "1", "--cap", "-1"),
+        ("verify", "--N", "1", "--k", "1", "--dmax", "0"),
+    ],
+)
+def test_out_of_range_options_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "must be at least" in err

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffhom import harmonic
+from diffhom.errors import ResourceLimitError
 from diffhom.harmonic import (
     Partition,
     apply_poly_operator,
@@ -29,6 +32,7 @@ from diffhom.harmonic import (
 )
 from diffhom.harmonic import IdealPresentation
 from diffhom.polynomials import Poly, z_var
+from diffhom.resources import DEFAULT_CAPS
 from diffhom.spans import spans_equal
 from diffhom.tensors import invariant_tensor_basis, to_harmonic
 
@@ -251,3 +255,12 @@ class TestBlockSurjectivity:
     def test_rejects_short_degrees(self):
         with pytest.raises(Exception):
             verify_block_surjectivity(2, 3)
+
+    def test_escalation_checks_the_enumeration_cap(self, monkeypatch):
+        # an unreachable target forces the escalation to all d! permutations
+        monkeypatch.setattr(harmonic, "quotient_dimension", lambda d, k, caps: 10**6)
+        caps = replace(DEFAULT_CAPS, max_enumeration=factorial(4) - 1)
+        with pytest.raises(ResourceLimitError):
+            verify_block_surjectivity(4, 1, caps)
+        report = verify_block_surjectivity(4, 1, replace(caps, max_enumeration=factorial(4)))
+        assert report.escalated and not report.passed

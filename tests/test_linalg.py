@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from diffhom.linalg import Echelon, echelon_of, int_row, nullspace
+from diffhom.linalg import Echelon, echelon_of, image_rows, int_row, nullspace
 
 
 def test_int_row_clears_denominators():
@@ -103,3 +103,15 @@ def test_against_dense_oracle():
             dense_row = dense[r_idx]
             for c in range(ncols):
                 assert Fraction(sparse.get(c, 0), lead) == dense_row[c]
+
+
+def test_image_rows_transpose_column_images():
+    # columns 0, 1, 2 map to a, a + b, b: the kernel is (1, -1, 1)
+    rows = image_rows([{"a": 1}, {"a": 1, "b": 1}, {"b": 1}])
+    assert rows == [{0: 1, 1: 1}, {1: 1, 2: 1}]
+    assert nullspace(rows, 3) == [{2: 1, 0: 1, 1: -1}]
+
+
+def test_tuple_keys_pivot_in_key_order():
+    ech = echelon_of([{(1, (0, 1)): 2, (0, (1, 0)): 4}, {(1, (0, 1)): 1}])
+    assert ech.pivots == {(0, (1, 0)): {(0, (1, 0)): 1}, (1, (0, 1)): {(1, (0, 1)): 1}}

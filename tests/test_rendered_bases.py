@@ -1,0 +1,38 @@
+"""Byte-identity of rendered canonical bases, one per exact kernel.
+
+The digests pin the reduced echelon bases produced by the jet, tensor and
+harmonic kernels.  A change to how their linear systems are assembled or
+eliminated must leave every rendering unchanged.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from diffhom.harmonic import ik_presentation, perp_basis
+from diffhom.jets import JetContext, diff_homog_basis
+from diffhom.tensors import invariant_tensor_basis
+
+CASES = {
+    "diff_homog_basis(JetContext(1,2,3))": (
+        lambda: diff_homog_basis(JetContext(1, 2, 3)).elements,
+        "6a58dbcb51eefd71951d65f3e1919a93d8e5a003cb5ea4ecc4f6dd08584ab838",
+    ),
+    "invariant_tensor_basis(3,4)": (
+        lambda: invariant_tensor_basis(3, 4),
+        "afba9d7bf59d56e9da25ffde1fe98d7ca9006b282ecf5cb5a06b8c6a16845073",
+    ),
+    "perp_basis(ik_presentation(5,2),2)": (
+        lambda: perp_basis(ik_presentation(5, 2), 2),
+        "764981085deda8b71ba55b0116d79b8a1c2eaf96e2bf160f16d7218a0518655c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rendered_basis_digest(name):
+    build, expected = CASES[name]
+    rendered = "\n".join(element.render() for element in build())
+    assert hashlib.sha256(rendered.encode()).hexdigest() == expected

@@ -144,7 +144,11 @@ class TestInvariantBasis:
                 s = _random_unitriangular(rng, k + 1)
                 s_inv = _invert(s)
                 conj = _matmul(_matmul(s, base), s_inv)
-                assert len(invariant_tensor_basis(k, d, matrix=conj)) == factorial(d)
+                basis = invariant_tensor_basis(k, d, matrix=conj)
+                assert len(basis) == factorial(d)
+                for t in basis:
+                    for ell in range(1, d + 1):
+                        assert insertion_operator(t, ell, conj).is_zero
 
 
 def _random_unitriangular(rng, n):
