@@ -9,6 +9,7 @@ resources.py) on top of any configuration file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import jets
 from . import tensors as ten
 from .errors import ConfigError, DiffhomError
 from .resources import caps_from_env
-from .suite import SuiteConfig, export, report_to_dict, run_suite
+from .suite import SuiteConfig, export, export_json, run_suite
 
 
 def _at_least(args, **minima) -> None:
@@ -236,25 +237,15 @@ def _cmd_verify_all(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read configuration: {exc}") from exc
     cfg = SuiteConfig.from_dict(data)
-    if args.format is not None:
-        cfg = SuiteConfig.from_dict({**data, "format": args.format})
-    cfg = SuiteConfig(
-        n_values=cfg.n_values,
-        d_values=cfg.d_values,
-        k_values=cfg.k_values,
-        caps=caps_from_env(cfg.caps),
-        output_format=cfg.output_format,
-        seed=cfg.seed,
+    cfg = dataclasses.replace(
+        cfg, caps=caps_from_env(cfg.caps), output_format=args.format or cfg.output_format
     )
     report = run_suite(cfg)
     rendered = export(report, cfg.output_format, include_timing=args.include_timing)
     sys.stdout.write(rendered)
     if args.out is not None:
         try:
-            Path(args.out).write_text(
-                json.dumps(report_to_dict(report, args.include_timing), indent=2, sort_keys=True)
-                + "\n"
-            )
+            Path(args.out).write_text(export_json(report, args.include_timing))
         except OSError as exc:
             raise ConfigError(f"cannot write report: {exc}") from exc
     return report.exit_code

@@ -37,6 +37,7 @@ from .polynomials import (
     Z_VAR,
     determinant,
     falling_factorial,
+    slot_var,
     z_var,
 )
 from .resources import DEFAULT_CAPS, ResourceCaps
@@ -572,16 +573,14 @@ def _equal_blocks(elements: tuple, size: int):
             yield (block,) + tail
 
 
-def _block_product(blocks, alphas, k: int, d: int) -> Poly:
+def _block_product(blocks, alphas) -> Poly:
     """Product of slot-relabelled Wronskians over disjoint slot blocks."""
-    from .polynomials import slot_var as sv
-
     result = Poly.constant(1)
     for block, alpha in zip(blocks, alphas):
         w = wronskian(alpha, len(block))
         mapping = {}
         for v in w.variables():
-            mapping[v] = Poly.variable(sv(block[v.i - 1], v.j))
+            mapping[v] = Poly.variable(slot_var(block[v.i - 1], v.j))
         result = result * w.substitute(mapping)
     return result
 
@@ -629,7 +628,7 @@ def verify_block_surjectivity(
 
     def family_rank(parts) -> int:
         family = [
-            _block_product(blocks, alphas, k, d)
+            _block_product(blocks, alphas)
             for blocks in parts
             for alphas in product(*(canonical_wronskian_exponents(len(b)) for b in blocks))
         ]

@@ -105,6 +105,22 @@ def mono_render(mono: Monomial) -> str:
     return "*".join(factors)
 
 
+def render_terms(terms) -> str:
+    """Join (coefficient, body) pairs as `a - 2*b + 1/3*c`; an empty body is a constant."""
+    pieces = []
+    for c, body in terms:
+        mag = str(abs(c))
+        if not body:
+            body = mag
+        elif mag != "1":
+            body = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(f"-{body}" if c < 0 else body)
+        else:
+            pieces.append(f" {'-' if c < 0 else '+'} {body}")
+    return "".join(pieces) or "0"
+
+
 def _coeff(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
@@ -230,9 +246,6 @@ class Poly:
         ]
         return max(orders, default=0)
 
-    def degree_in(self, v: VarId) -> int:
-        return max((dict(m).get(v, 0) for m in self.terms), default=0)
-
     # -- calculus and substitution --------------------------------------
 
     def partial_derivative(self, v: VarId) -> "Poly":
@@ -308,25 +321,10 @@ class Poly:
         return self
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for idx, m in enumerate(sorted(self.terms, key=mono_sort_key)):
-            c = self.terms[m]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            mag_str = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            if not m:
-                body = mag_str
-            elif mag == 1:
-                body = mono_render(m)
-            else:
-                body = f"{mag_str}*{mono_render(m)}"
-            if idx == 0:
-                pieces.append(body if sign == "+" else f"-{body}")
-            else:
-                pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+        return render_terms(
+            (self.terms[m], mono_render(m) if m else "")
+            for m in sorted(self.terms, key=mono_sort_key)
+        )
 
     def __str__(self) -> str:
         return self.render()

@@ -1,11 +1,13 @@
 """The batch verification suite: every structural claim, machine-checked.
 
 A suite run instantiates one check record per claim and degree, in a fixed
-order, and evaluates each with exact arithmetic.  Resource-cap violations
-mark a check as skipped rather than failed: a skip is a machine limit, a
-fail is a mathematical discrepancy.  Reports are deterministic given the
-configuration (records are sorted by check id and timing is excluded from
-exports by default), so JSON exports are byte-stable golden files.
+order.  Each claim tuple yields exact (label, expected, computed, ok) rows; a
+record shows its rows as "label:value; ..." strings and passes when all rows
+do.  Resource-cap violations mark a check as skipped rather than failed: a
+skip is a machine limit, a fail is a mathematical discrepancy.  Reports are
+deterministic given the configuration (records are sorted by check id and
+timing is excluded from exports by default), so JSON exports are byte-stable
+golden files.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class SuiteConfig:
     def from_dict(data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
-        cfg = SuiteConfig()
         updates = {}
         for key in ("n_values", "d_values", "k_values"):
             if key in data:
@@ -90,7 +91,7 @@ class SuiteConfig:
             if not _is_int(data["seed"]):
                 raise ConfigError("seed must be an integer")
             updates["seed"] = data["seed"]
-        return replace(cfg, **updates)
+        return SuiteConfig(**updates)
 
     def to_dict(self) -> dict:
         return {
@@ -144,156 +145,102 @@ class _Check:
     runner: object  # () -> (expected, computed, ok)
 
 
-def _pairs_str(pairs) -> str:
-    return "; ".join(f"{label}:{value}" for label, value in pairs)
-
-
 # ---------------------------------------------------------------------------
-# criterion runners
+# claim rows: each generator yields the rows of one claim tuple
 
 
-def _run_sk(tuples, caps):
-    expected, computed, ok = [], [], True
-    for n, d in tuples:
-        dim = jets.diff_homog_basis(jets.JetContext(n, d - 1, d), caps).dimension
-        want = (n + 1) ** d
-        expected.append((f"N={n}", want))
-        computed.append((f"N={n}", dim))
-        ok = ok and dim == want
-    return _pairs_str(expected), _pairs_str(computed), ok
+def _result(rows):
+    """Fold (label, expected, computed, ok) rows into a record's strings and flag."""
+    rows = list(rows)
+    expected = "; ".join(f"{label}:{want}" for label, want, _, _ in rows)
+    computed = "; ".join(f"{label}:{got}" for label, _, got, _ in rows)
+    return expected, computed, all(ok for *_, ok in rows)
 
 
-def _run_stabilization(tuples, caps):
-    expected, computed, ok = [], [], True
-    for n, d in tuples:
-        at_low = jets.diff_homog_basis(jets.JetContext(n, d - 1, d), caps).dimension
-        at_high = jets.diff_homog_basis(jets.JetContext(n, d, d), caps).dimension
-        expected.append((f"N={n}", at_low))
-        computed.append((f"N={n}", at_high))
-        ok = ok and at_low == at_high
-    return _pairs_str(expected), _pairs_str(computed), ok
+def _eq(label, want, got):
+    """The row of a claim that a computed value equals the expected one."""
+    return label, want, got, got == want
 
 
-def _run_tensor(d, caps):
-    expected = [("dim", factorial(d))]
-    dim = len(ten.invariant_tensor_basis(d - 1, d, caps))
-    computed = [("dim", dim)]
-    ok = dim == factorial(d)
+def _dimension(n, k, d, caps):
+    return jets.diff_homog_basis(jets.JetContext(n, k, d), caps).dimension
+
+
+def _sk_rows(d, n, caps):
+    yield _eq(f"N={n}", (n + 1) ** d, _dimension(n, d - 1, d, caps))
+
+
+def _stabilization_rows(d, n, caps):
+    yield _eq(f"N={n}", _dimension(n, d - 1, d, caps), _dimension(n, d, d, caps))
+
+
+def _tensor_rows(d, caps):
+    yield _eq("dim", factorial(d), len(ten.invariant_tensor_basis(d - 1, d, caps)))
     if d <= WRONSKIAN_BASIS_MAX:
         report = ten.verify_wronskian_basis(d, caps)
-        expected.append(("wronskian-rank", factorial(d)))
-        computed.append(("wronskian-rank", report.rank))
-        ok = ok and report.passed
-    return _pairs_str(expected), _pairs_str(computed), ok
+        yield "wronskian-rank", factorial(d), report.rank, report.passed
 
 
-def _run_harmonic(tuples, caps):
-    expected, computed, ok = [], [], True
-    for d, k in tuples:
-        want = har.closed_form_dimension(d, k)
-        dim = len(har.perp_basis(har.ik_presentation(d, k), k, caps))
-        expected.append((f"k={k}", want))
-        computed.append((f"k={k}", dim))
-        ok = ok and dim == want
-    return _pairs_str(expected), _pairs_str(computed), ok
+def _kernel_dimension(d, k, caps):
+    return len(har.perp_basis(har.ik_presentation(d, k), k, caps))
 
 
-def _run_oberst(tuples, caps):
-    expected, computed, ok = [], [], True
-    for d, k in tuples:
-        kernel = len(har.perp_basis(har.ik_presentation(d, k), k, caps))
-        quotient = har.quotient_dimension(d, k, caps)
-        expected.append((f"k={k}", kernel))
-        computed.append((f"k={k}", quotient))
-        ok = ok and kernel == quotient
-    return _pairs_str(expected), _pairs_str(computed), ok
+def _harmonic_rows(d, k, caps):
+    yield _eq(f"k={k}", har.closed_form_dimension(d, k), _kernel_dimension(d, k, caps))
 
 
-def _run_dcp(tuples, caps):
-    expected, computed, ok = [], [], True
-    for d, k in tuples:
-        report = har.verify_dcp_equality(d, k, d * (k + 1), caps)
-        expected.append((f"k={k}", "equal"))
-        computed.append((f"k={k}", "equal" if report.passed else "not-certified"))
-        ok = ok and report.passed
-    return _pairs_str(expected), _pairs_str(computed), ok
+def _oberst_rows(d, k, caps):
+    yield _eq(f"k={k}", _kernel_dimension(d, k, caps), har.quotient_dimension(d, k, caps))
 
 
-def _run_spanning(shapes, caps):
-    expected, computed, ok = [], [], True
-    for shape in shapes:
-        mu = har.Partition.of(shape)
-        report = har.verify_spanning(mu, caps)
-        label = f"mu={report.partition}"
-        expected.append((label, report.expected_dimension))
-        computed.append((label, report.rank))
-        ok = ok and report.passed
-        k = har.matching_order(mu)
-        if k is not None and mu.d >= k + 1:
-            blocks = har.verify_block_surjectivity(mu.d, k, caps)
-            expected.append((f"blocks(k={k})", blocks.expected_dimension))
-            computed.append((f"blocks(k={k})", blocks.rank))
-            ok = ok and blocks.passed
-    return _pairs_str(expected), _pairs_str(computed), ok
+def _dcp_rows(d, k, caps):
+    report = har.verify_dcp_equality(d, k, d * (k + 1), caps)
+    yield f"k={k}", "equal", "equal" if report.passed else "not-certified", report.passed
 
 
-def _run_counting(d, ns, caps):
-    expected, computed, ok = [], [], True
+def _spanning_rows(d, shape, caps):
+    mu = har.Partition.of(shape)
+    report = har.verify_spanning(mu, caps)
+    yield f"mu={report.partition}", report.expected_dimension, report.rank, report.passed
+    k = har.matching_order(mu)
+    if k is not None and mu.d >= k + 1:
+        blocks = har.verify_block_surjectivity(mu.d, k, caps)
+        yield f"blocks(k={k})", blocks.expected_dimension, blocks.rank, blocks.passed
+
+
+def _counting_rows(d, ns, caps):
     if d in COUNTING_MODEL_DEGREES:
-        want = factorial(d) // 2
-        got = len(cat.top_order_indices(d, caps))
-        expected.append(("model", want))
-        computed.append(("model", got))
-        ok = ok and got == want
+        yield _eq("model", factorial(d) // 2, len(cat.top_order_indices(d, caps)))
     for n in ns:
         want = cat.nested_count_formula(n, d)
-        got = len(cat.top_order_nested_indices(n, d, caps))
-        expected.append((f"N={n}", want))
-        computed.append((f"N={n}", got))
-        ok = ok and got == want
-    return _pairs_str(expected), _pairs_str(computed), ok
+        yield _eq(f"N={n}", want, len(cat.top_order_nested_indices(n, d, caps)))
 
 
-def _run_quotient_basis(tuples, caps):
-    expected, computed, ok = [], [], True
-    for n, d in tuples:
-        report = cat.verify_quotient_basis(n, d, caps)
-        gap = report.full_dimension - report.lower_dimension
-        expected.append((f"N={n}", f"{gap}+basis"))
-        computed.append(
-            (f"N={n}", f"{report.family_size}+{'basis' if report.passed else 'FAIL'}")
-        )
-        ok = ok and report.passed
-    return _pairs_str(expected), _pairs_str(computed), ok
+def _quotient_basis_rows(d, n, caps):
+    report = cat.verify_quotient_basis(n, d, caps)
+    gap = report.full_dimension - report.lower_dimension
+    computed = f"{report.family_size}+{'basis' if report.passed else 'FAIL'}"
+    yield f"N={n}", f"{gap}+basis", computed, report.passed
 
 
-def _run_generation(d, generation, minimality, caps):
-    expected, computed, ok = [], [], True
+def _generation_rows(d, generation, minimality, caps):
     for n, k in generation:
         entry = cat.degree_generation_entry(n, k, d, caps)
-        label = f"N={n},k={k}"
-        expected.append((label, entry.invariant_dimension))
-        computed.append((label, entry.rank))
-        ok = ok and entry.passed
+        yield f"N={n},k={k}", entry.invariant_dimension, entry.rank, entry.passed
     for n, k in minimality:
-        label = f"N={n},k={k}|G{d}|"
         want = cat.nested_count_formula(n, d)
         got = len(cat.top_order_nested_indices(n, d, caps))
-        signature = dict(cat.weighted_signature(n, k))
-        expected.append((label, want))
-        computed.append((label, got if signature.get(d) == got else f"{got}!=sig"))
-        ok = ok and got == want and signature.get(d) == got
+        signed = dict(cat.weighted_signature(n, k)).get(d) == got
+        computed = got if signed else f"{got}!=sig"
+        yield f"N={n},k={k}|G{d}|", want, computed, got == want and signed
         if d >= 2:
             family = cat.build_catalog(n, d - 1, caps).family(d)
             orders_ok = all(rec.order == d - 1 for rec in family)
             independent = cat.verify_quotient_basis(n, d, caps).independent
-            expected.append((f"N={n},k={k}min", "minimal"))
-            computed.append(
-                (f"N={n},k={k}min", "minimal" if orders_ok and independent else "FAIL")
-            )
-            ok = ok and orders_ok and independent
+            minimal = orders_ok and independent
+            yield f"N={n},k={k}min", "minimal", "minimal" if minimal else "FAIL", minimal
     # the two construction routes (determinant build vs tensor projection) agree
-    for n in sorted({n for n, _ in list(generation) + list(minimality)}):
+    for n in sorted({n for n, _ in generation + minimality}):
         agree = True
         for idx in cat.top_order_nested_indices(n, d, caps):
             assignment = cat.composition_to_function(idx.lengths)
@@ -304,10 +251,7 @@ def _run_generation(d, generation, minimality, caps):
                 assignment,
             ).sign_normalized()
             agree = agree and built == projected
-        expected.append((f"N={n}routes", "agree"))
-        computed.append((f"N={n}routes", "agree" if agree else "FAIL"))
-        ok = ok and agree
-    return _pairs_str(expected), _pairs_str(computed), ok
+        yield f"N={n}routes", "agree", "agree" if agree else "FAIL", agree
 
 
 # ---------------------------------------------------------------------------
@@ -469,97 +413,90 @@ def build_checks(cfg: SuiteConfig) -> list:
     checks: list[_Check] = []
     ns, ds, ks = set(cfg.n_values), set(cfg.d_values), set(cfg.k_values)
 
-    def add(check_id, formula, inputs, runner):
-        checks.append(_Check(check_id, formula, inputs, runner))
+    def grouped(criterion, formula, key, items, rows):
+        """One check per configured degree over the (d, input value, claim) items."""
+        for d in sorted({d for d, _, _ in items} & ds):
+            group = [(value, claim) for dd, value, claim in items if dd == d]
+            checks.append(_Check(
+                f"{criterion}/d{d}",
+                formula,
+                {"d": d, key: [value for value, _ in group]},
+                lambda d=d, group=group: _result(
+                    row for _, claim in group for row in rows(d, claim, caps)
+                ),
+            ))
 
-    for d in sorted({dd for _, dd in SK_DIMENSIONS}):
-        tuples = [(n, dd) for n, dd in SK_DIMENSIONS if dd == d and n in ns]
-        if d in ds and tuples and d - 1 <= max(ks, default=-1):
-            add(
-                f"01-schmidt-kolchin/d{d}",
-                "dim equals (N+1)^d at full order d-1",
-                {"d": d, "N": [n for n, _ in tuples]},
-                lambda tuples=tuples: _run_sk(tuples, caps),
-            )
-
-    for d in sorted({dd for _, dd in STABILIZATION}):
-        tuples = [(n, dd) for n, dd in STABILIZATION if dd == d and n in ns]
-        if d in ds and tuples:
-            add(
-                f"02-stabilization/d{d}",
-                "dimension at order d equals dimension at order d-1",
-                {"d": d, "N": [n for n, _ in tuples]},
-                lambda tuples=tuples: _run_stabilization(tuples, caps),
-            )
+    grouped(
+        "01-schmidt-kolchin",
+        "dim equals (N+1)^d at full order d-1",
+        "N",
+        [(d, n, n) for n, d in SK_DIMENSIONS if n in ns and d - 1 <= max(ks, default=-1)],
+        _sk_rows,
+    )
+    grouped(
+        "02-stabilization",
+        "dimension at order d equals dimension at order d-1",
+        "N",
+        [(d, n, n) for n, d in STABILIZATION if n in ns],
+        _stabilization_rows,
+    )
 
     for d in TENSOR_DEGREES:
         if d in ds and (d - 1) in ks:
-            add(
+            checks.append(_Check(
                 f"03-tensor-invariants/d{d}",
                 "invariant tensors have dimension d!",
                 {"d": d, "k": d - 1},
-                lambda d=d: _run_tensor(d, caps),
-            )
+                lambda d=d: _result(_tensor_rows(d, caps)),
+            ))
 
-    for d in sorted({dd for dd, _ in HARMONIC_TUPLES}):
-        tuples = [(dd, k) for dd, k in HARMONIC_TUPLES if dd == d and k in ks]
-        if d in ds and tuples:
-            add(
-                f"04-harmonic-dimension/d{d}",
-                "solution-space dimension matches d!/((q!)^(k+1-r)((q+1)!)^r)",
-                {"d": d, "k": [k for _, k in tuples]},
-                lambda tuples=tuples: _run_harmonic(tuples, caps),
-            )
-
-    for d in sorted({dd for dd, _ in HARMONIC_TUPLES}):
-        tuples = [(dd, k) for dd, k in HARMONIC_TUPLES if dd == d and k in ks]
-        if d in ds and tuples:
-            add(
-                f"05-oberst-equality/d{d}",
-                "operator-kernel dimension equals quotient dimension",
-                {"d": d, "k": [k for _, k in tuples]},
-                lambda tuples=tuples: _run_oberst(tuples, caps),
-            )
-
-    for d in sorted({dd for dd, _ in DCP_TUPLES}):
-        tuples = [(dd, k) for dd, k in DCP_TUPLES if dd == d and k in ks]
-        if d in ds and tuples:
-            add(
-                f"06-dcp-identification/d{d}",
-                "symmetric-plus-powers ideal equals the partial-symmetric ideal",
-                {"d": d, "k": [k for _, k in tuples]},
-                lambda tuples=tuples: _run_dcp(tuples, caps),
-            )
-
-    for d in sorted({sum(s) for s in SPANNING_SHAPES}):
-        shapes = [s for s in SPANNING_SHAPES if sum(s) == d]
-        if d in ds and shapes:
-            add(
-                f"07-spanning/d{d}",
-                "derivatives of column Vandermondes span the solution space",
-                {"d": d, "mu": ["(" + ",".join(map(str, s)) + ")" for s in shapes]},
-                lambda shapes=shapes: _run_spanning(shapes, caps),
-            )
+    harmonic = [(d, k, k) for d, k in HARMONIC_TUPLES if k in ks]
+    grouped(
+        "04-harmonic-dimension",
+        "solution-space dimension matches d!/((q!)^(k+1-r)((q+1)!)^r)",
+        "k",
+        harmonic,
+        _harmonic_rows,
+    )
+    grouped(
+        "05-oberst-equality",
+        "operator-kernel dimension equals quotient dimension",
+        "k",
+        harmonic,
+        _oberst_rows,
+    )
+    grouped(
+        "06-dcp-identification",
+        "symmetric-plus-powers ideal equals the partial-symmetric ideal",
+        "k",
+        [(d, k, k) for d, k in DCP_TUPLES if k in ks],
+        _dcp_rows,
+    )
+    grouped(
+        "07-spanning",
+        "derivatives of column Vandermondes span the solution space",
+        "mu",
+        [(sum(s), "(" + ",".join(map(str, s)) + ")", s) for s in SPANNING_SHAPES],
+        _spanning_rows,
+    )
 
     for d in range(1, 7):
         counting_ns = sorted(n for n in ns if n <= COUNTING_NESTED_MAX_N) if d <= 5 else []
         if d in ds and (d in COUNTING_MODEL_DEGREES or counting_ns):
-            add(
+            checks.append(_Check(
                 f"08-counting/d{d}",
                 "index counts match d!/2 and N(N+1)/2*(N+1)^(d-2)",
                 {"d": d, "N": counting_ns},
-                lambda d=d, counting_ns=counting_ns: _run_counting(d, counting_ns, caps),
-            )
+                lambda d=d, counting_ns=counting_ns: _result(_counting_rows(d, counting_ns, caps)),
+            ))
 
-    for d in sorted({dd for _, dd in QUOTIENT_TUPLES}):
-        tuples = [(n, dd) for n, dd in QUOTIENT_TUPLES if dd == d and n in ns]
-        if d in ds and tuples:
-            add(
-                f"09-quotient-basis/d{d}",
-                "nested-index generators induce a basis of the top-order quotient",
-                {"d": d, "N": [n for n, _ in tuples]},
-                lambda tuples=tuples: _run_quotient_basis(tuples, caps),
-            )
+    grouped(
+        "09-quotient-basis",
+        "nested-index generators induce a basis of the top-order quotient",
+        "N",
+        [(d, n, n) for n, d in QUOTIENT_TUPLES if n in ns],
+        _quotient_basis_rows,
+    )
 
     for d in range(1, 6):
         generation = [
@@ -569,14 +506,14 @@ def build_checks(cfg: SuiteConfig) -> list:
             (n, k) for n, k in MINIMALITY_PAIRS if d <= k + 1 and n in ns and k in ks
         ]
         if d in ds and (generation or minimality):
-            add(
+            checks.append(_Check(
                 f"10-generation-minimality/d{d}",
                 "generator monomials span; generators are minimal; counts match",
                 {"d": d, "generation": generation, "minimality": minimality},
-                lambda d=d, generation=generation, minimality=minimality: _run_generation(
-                    d, generation, minimality, caps
+                lambda d=d, generation=generation, minimality=minimality: _result(
+                    _generation_rows(d, generation, minimality, caps)
                 ),
-            )
+            ))
 
     for name, formula, d, fn, trials in _PROPERTY_CHECKS:
         if d in ds:
@@ -592,7 +529,7 @@ def build_checks(cfg: SuiteConfig) -> list:
                     failures == 0,
                 )
 
-            add(check_id, formula, {"d": d, "instances": trials}, runner)
+            checks.append(_Check(check_id, formula, {"d": d, "instances": trials}, runner))
 
     return checks
 

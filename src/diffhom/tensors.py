@@ -36,6 +36,7 @@ from .polynomials import (
     determinant,
     falling_factorial,
     jet_var,
+    render_terms,
     slot_var,
     z_var,
 )
@@ -108,22 +109,10 @@ class Tensor:
 
     def render(self) -> str:
         """Canonical text form: coordinates sorted by (grade, index tuple)."""
-        if not self.coords:
-            return "0"
-        pieces = []
-        for pos, idx in enumerate(sorted(self.coords, key=lambda t: (sum(t), t))):
-            c = self.coords[idx]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            mag_str = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            body = f"f[{','.join(map(str, idx))}]"
-            if mag != 1:
-                body = f"{mag_str}*{body}"
-            if pos == 0:
-                pieces.append(body if sign == "+" else f"-{body}")
-            else:
-                pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+        return render_terms(
+            (self.coords[idx], f"f[{','.join(map(str, idx))}]")
+            for idx in sorted(self.coords, key=lambda t: (sum(t), t))
+        )
 
 
 def _insert_shift(coords: dict, slots: tuple) -> dict:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diffhom
 from diffhom.cli import main
 
 
@@ -132,7 +137,44 @@ def test_verify_all_roundtrip(capsys, tmp_path):
     first = out_path.read_text()
     code, _, _ = run_cli(capsys, "verify-all", "--config", str(cfg), "--out", str(out_path))
     assert code == 0
-    assert out_path.read_text() == first
+    assert out_path.read_text() == first == out
+
+
+def test_verify_all_format_option_overrides_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_values": [2], "format": "json"}))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "verify-all", "--config", str(cfg), "--format", "csv", "--out", str(out_path)
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "checkId,formula,inputs,expected,computed,status"
+    assert json.loads(out_path.read_text())["summary"]["pass"] == 9
+
+
+def test_verify_all_bad_config_format_fails_despite_option(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_values": [2], "format": "yaml"}))
+    code, out, err = run_cli(capsys, "verify-all", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "format must be one of" in err
+
+
+def test_verify_all_json_is_independent_of_the_hash_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_values": [2, 3]}))
+    src = str(Path(diffhom.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "diffhom", "verify-all", "--config", str(cfg), "--format", "json"]
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["summary"]["fail"] == 0
 
 
 def test_verify_all_csv(capsys, tmp_path):

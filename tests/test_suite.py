@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -147,7 +148,13 @@ def test_seed_changes_only_property_streams():
     assert all(r.status == "pass" for r in a.records + b.records)
 
 
+# sha256 of the default configuration's JSON export
+DEFAULT_EXPORT_SHA256 = "0df4c1d007aecbec12f1ce47c3b679085c076672c1360a94e4489833c8971240"
+
+
 def test_default_suite_passes_everywhere():
     report = run_suite(SuiteConfig())
     assert report.counts == {"pass": len(report.records), "fail": 0, "skipped": 0}
     assert report.exit_code == 0
+    digest = hashlib.sha256(export_json(report).encode()).hexdigest()
+    assert digest == DEFAULT_EXPORT_SHA256
