@@ -6,13 +6,24 @@ Leibniz expansion of (a X_i) and evaluating at T = 0.  A polynomial P of
 degree d is differentially homogeneous when the action returns l0^d P for
 every invertible series; since only the coefficients l0..lk act on order-k
 polynomials, quasi-invariance is a polynomial identity in finitely many
-series coefficients and can be tested exactly.
+series coefficients.  `act_series` and `is_diff_homogeneous` test it exactly
+by substitution; they are the group-level oracle.
 
-The full invariant space in a given degree is computed as the kernel of an
-exact linear system over the degree-d monomials.  That system is graded by
-the total derivation weight of a monomial (the series coefficient l_m carries
-weight m), so it splits into independent blocks; the sparse echelon forms in
-`linalg` exploit this automatically.
+The invariant spaces are computed from the Lie algebra instead.  The series
+group is the scalars l0 times the unipotent group of series with l0 = 1.
+The scalars act on a degree-d polynomial by l0^d, so homogeneity takes care
+of them.  The unipotent group is connected, so in characteristic 0 a
+polynomial is invariant under it exactly when its Lie algebra kills it (the
+infinitesimal invariance criterion).  Differentiating the action at the
+identity in the direction of l_m gives the derivations
+
+    E_m = sum_i sum_{j >= m} j!/(j-m)! X_i^(j-m) d/dX_i^(j),   m = 1..k,
+
+so the invariant space in degree d is the joint kernel of E_1..E_k on the
+degree-d monomials.  E_m lowers the total derivation weight of a monomial
+(the sum of its orders j) by exactly m, so the system splits into
+independent blocks of equal weight, and the images under different E_m
+never share a monomial.
 """
 
 from __future__ import annotations
@@ -111,13 +122,40 @@ def _weight(mono) -> int:
     return sum(v.j * e for v, e in mono)
 
 
+def _lowerings(mono) -> dict:
+    """Images of a jet monomial under every E_m, as one dict over lowered monomials.
+
+    E_m replaces one factor X_i^(j), j >= m, by j!/(j-m)! X_i^(j-m); the
+    image monomials of E_m have weight m less than mono, so the images for
+    different m never collide.  E_m with m above every order in mono is zero.
+    """
+    out: dict = {}
+    for v, e in mono:
+        rest = dict(mono)
+        if e == 1:
+            del rest[v]
+        else:
+            rest[v] = e - 1
+        for m in range(1, v.j + 1):
+            exps = dict(rest)
+            low = jet_var(v.i, v.j - m)
+            exps[low] = exps.get(low, 0) + 1
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, 0) + e * factorial(v.j) // factorial(v.j - m)
+    return out
+
+
 def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> InvariantBasis:
     """Kernel basis of the quasi-invariance system in degree ctx.d.
 
-    Enumerates all degree-d monomials in the context's jet variables, writes
-    "coefficients of act(P) - l0^d P vanish" as an exact linear system, and
-    returns its null space.  Output is the canonical echelon basis, graded
-    by derivation weight, with primitive integer coefficients.
+    Enumerates all degree-d monomials in the context's jet variables and
+    returns the joint kernel of the derivations E_1..E_k on their span (see
+    the module docstring): by homogeneity and the infinitesimal invariance
+    criterion this is exactly the space on which the series action returns
+    l0^d P, as `is_diff_homogeneous` checks by substitution.  The system is
+    solved one derivation-weight block at a time.  Output is the canonical
+    echelon basis, graded by derivation weight, with primitive integer
+    coefficients.
     """
     caps = caps or DEFAULT_CAPS
     variables = ctx.variables()
@@ -128,17 +166,11 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
     for mono in _degree_monomials(variables, ctx.d):
         blocks.setdefault(_weight(mono), []).append(mono)
 
-    images = {v: leibniz_image(v.i, v.j, ctx) for v in variables}
-    lam0_d = Poly.variable(series_coeff(0)) ** ctx.d
-
-    def defect(mono) -> dict:
-        p = Poly({mono: Fraction(1)})
-        return (p.substitute(images) - p * lam0_d).terms
-
     basis = InvariantBasis(ctx)
     for w in sorted(blocks):
         columns = sorted(blocks[w], key=mono_sort_key)
-        kernel = nullspace(image_rows(defect(mono) for mono in columns), len(columns))
+        images = (_lowerings(mono) for mono in columns)
+        kernel = nullspace(image_rows(images), len(columns))
         for vi, vec in enumerate(kernel):
             poly = Poly({columns[ci]: Fraction(val) for ci, val in vec.items()})
             basis.elements.append(poly)

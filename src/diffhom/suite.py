@@ -16,6 +16,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache, partial
 from fractions import Fraction
 from itertools import product as iter_product
 from math import factorial
@@ -185,12 +186,12 @@ def _kernel_dimension(d, k, caps):
     return len(har.perp_basis(har.ik_presentation(d, k), k, caps))
 
 
-def _harmonic_rows(d, k, caps):
-    yield _eq(f"k={k}", har.closed_form_dimension(d, k), _kernel_dimension(d, k, caps))
+def _harmonic_rows(d, k, caps, kernel_dimension):
+    yield _eq(f"k={k}", har.closed_form_dimension(d, k), kernel_dimension(d, k, caps))
 
 
-def _oberst_rows(d, k, caps):
-    yield _eq(f"k={k}", _kernel_dimension(d, k, caps), har.quotient_dimension(d, k, caps))
+def _oberst_rows(d, k, caps, kernel_dimension):
+    yield _eq(f"k={k}", kernel_dimension(d, k, caps), har.quotient_dimension(d, k, caps))
 
 
 def _dcp_rows(d, k, caps):
@@ -216,14 +217,14 @@ def _counting_rows(d, ns, caps):
         yield _eq(f"N={n}", want, len(cat.top_order_nested_indices(n, d, caps)))
 
 
-def _quotient_basis_rows(d, n, caps):
-    report = cat.verify_quotient_basis(n, d, caps)
+def _quotient_basis_rows(d, n, caps, quotient_basis):
+    report = quotient_basis(n, d, caps)
     gap = report.full_dimension - report.lower_dimension
     computed = f"{report.family_size}+{'basis' if report.passed else 'FAIL'}"
     yield f"N={n}", f"{gap}+basis", computed, report.passed
 
 
-def _generation_rows(d, generation, minimality, caps):
+def _generation_rows(d, generation, minimality, caps, quotient_basis):
     for n, k in generation:
         entry = cat.degree_generation_entry(n, k, d, caps)
         yield f"N={n},k={k}", entry.invariant_dimension, entry.rank, entry.passed
@@ -236,7 +237,7 @@ def _generation_rows(d, generation, minimality, caps):
         if d >= 2:
             family = cat.build_catalog(n, d - 1, caps).family(d)
             orders_ok = all(rec.order == d - 1 for rec in family)
-            independent = cat.verify_quotient_basis(n, d, caps).independent
+            independent = quotient_basis(n, d, caps).independent
             minimal = orders_ok and independent
             yield f"N={n},k={k}min", "minimal", "minimal" if minimal else "FAIL", minimal
     # the two construction routes (determinant build vs tensor projection) agree
@@ -412,6 +413,11 @@ def build_checks(cfg: SuiteConfig) -> list:
     caps = cfg.caps
     checks: list[_Check] = []
     ns, ds, ks = set(cfg.n_values), set(cfg.d_values), set(cfg.k_values)
+    # Kernels that several checks read (04 and 05; 09 and 10) are computed once
+    # per call.  The caches live only as long as these checks, so every suite
+    # run still does all of its own work.
+    kernel_dimension = cache(_kernel_dimension)
+    quotient_basis = cache(cat.verify_quotient_basis)
 
     def grouped(criterion, formula, key, items, rows):
         """One check per configured degree over the (d, input value, claim) items."""
@@ -456,14 +462,14 @@ def build_checks(cfg: SuiteConfig) -> list:
         "solution-space dimension matches d!/((q!)^(k+1-r)((q+1)!)^r)",
         "k",
         harmonic,
-        _harmonic_rows,
+        partial(_harmonic_rows, kernel_dimension=kernel_dimension),
     )
     grouped(
         "05-oberst-equality",
         "operator-kernel dimension equals quotient dimension",
         "k",
         harmonic,
-        _oberst_rows,
+        partial(_oberst_rows, kernel_dimension=kernel_dimension),
     )
     grouped(
         "06-dcp-identification",
@@ -495,7 +501,7 @@ def build_checks(cfg: SuiteConfig) -> list:
         "nested-index generators induce a basis of the top-order quotient",
         "N",
         [(d, n, n) for n, d in QUOTIENT_TUPLES if n in ns],
-        _quotient_basis_rows,
+        partial(_quotient_basis_rows, quotient_basis=quotient_basis),
     )
 
     for d in range(1, 6):
@@ -511,7 +517,7 @@ def build_checks(cfg: SuiteConfig) -> list:
                 "generator monomials span; generators are minimal; counts match",
                 {"d": d, "generation": generation, "minimality": minimality},
                 lambda d=d, generation=generation, minimality=minimality: _result(
-                    _generation_rows(d, generation, minimality, caps)
+                    _generation_rows(d, generation, minimality, caps, quotient_basis)
                 ),
             ))
 

@@ -230,9 +230,12 @@ def invariant_tensor_basis(
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
 
-    # per block, kernel vectors as sparse integer dicts over index tuples
+    # per block, kernel vectors as sparse integer dicts over index tuples.  The
+    # box is enumerated in descending index order, so each ell=1 constraint
+    # row pivots on its raised-first-slot column and elimination stays close
+    # to triangular; the final echelon makes the output independent of it.
     blocks: dict[int, list[dict]] = {}
-    for idx in product(range(k + 1), repeat=d):
+    for idx in product(range(k, -1, -1), repeat=d):
         blocks.setdefault(sum(idx) if matrix is None else 0, []).append({idx: 1})
     for ell in range(1, d + 1):
         for block, vectors in blocks.items():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -20,7 +22,8 @@ from diffhom.jets import (
     leibniz_image,
     product_lemma_check,
 )
-from diffhom.polynomials import Poly, SERIES_COEFF, jet_var, series_coeff, z_var
+from diffhom.linalg import image_rows, nullspace
+from diffhom.polynomials import Poly, SERIES_COEFF, jet_var, mono_sort_key, series_coeff, z_var
 from diffhom.resources import ResourceCaps
 from diffhom.spans import in_span, spans_equal
 
@@ -162,6 +165,53 @@ class TestBasis:
         caps = ResourceCaps(max_basis_columns=3)
         with pytest.raises(ResourceLimitError):
             diff_homog_basis(JetContext(1, 1, 2), caps)
+
+
+def substitution_basis(ctx):
+    """The invariant basis by the group action: per weight block, the kernel of
+    m -> act_series(m) - l0^d m over the degree-d monomials in mono_sort_key order."""
+    blocks = {}
+    for combo in combinations_with_replacement(ctx.variables(), ctx.d):
+        mono = Poly.constant(1)
+        for v in combo:
+            mono = mono * Poly.variable(v)
+        (key,) = mono.terms
+        blocks.setdefault(sum(v.j * e for v, e in key), []).append(key)
+    lam0_d = L0**ctx.d
+    elements, provenance = [], []
+    for w in sorted(blocks):
+        columns = sorted(blocks[w], key=mono_sort_key)
+        defects = []
+        for key in columns:
+            m = Poly({key: 1})
+            defects.append((act_series(m, ctx) - m * lam0_d).terms)
+        for vi, vec in enumerate(nullspace(image_rows(defects), len(columns))):
+            elements.append(Poly({columns[ci]: Fraction(val) for ci, val in vec.items()}))
+            provenance.append(f"w{w}/v{vi}")
+    return elements, provenance
+
+
+# every context with N <= 2, k <= 3, d <= 4 up to the 330 columns of N=1, k=3, d=4
+ORACLE_CONTEXTS = [
+    JetContext(n, k, d)
+    for n in (1, 2)
+    for k in range(4)
+    for d in range(5)
+    if comb((n + 1) * (k + 1) + d - 1, d) <= 330
+]
+
+
+class TestLieRouteAgainstSubstitution:
+    """diff_homog_basis (derivation rows) against the series action itself."""
+
+    @pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=lambda c: f"N{c.n}k{c.k}d{c.d}")
+    def test_same_rendered_basis_and_provenance(self, ctx):
+        basis = diff_homog_basis(ctx)
+        elements, provenance = substitution_basis(ctx)
+        assert [p.render() for p in basis.elements] == [p.render() for p in elements]
+        assert basis.provenance == provenance
+        for p in basis.elements:
+            assert is_diff_homogeneous(p, ctx.d, ctx)
 
 
 class TestProductLemma:

@@ -20,6 +20,10 @@ CASES = {
         lambda: diff_homog_basis(JetContext(1, 2, 3)).elements,
         "6a58dbcb51eefd71951d65f3e1919a93d8e5a003cb5ea4ecc4f6dd08584ab838",
     ),
+    "diff_homog_basis(JetContext(2,3,4))": (
+        lambda: diff_homog_basis(JetContext(2, 3, 4)).elements,
+        "228ba265ce069067b86aab6b82c777ec877b0e7d636ee80e5f83ec072841878c",
+    ),
     "invariant_tensor_basis(3,4)": (
         lambda: invariant_tensor_basis(3, 4),
         "afba9d7bf59d56e9da25ffde1fe98d7ca9006b282ecf5cb5a06b8c6a16845073",

@@ -99,6 +99,24 @@ class TestInvariantBasis:
     def test_dimension_is_factorial(self, d):
         assert len(invariant_tensor_basis(d - 1 if d > 1 else 0, d)) == factorial(d)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_grade_counts_are_the_q_factorial(self, d):
+        # at k = d-1 the invariant tensors are the S_d-harmonics, whose
+        # dimension in grade g is the coefficient of q^g in [d]_q!
+        q_factorial = [1]
+        for i in range(1, d + 1):
+            q_factorial = [
+                sum(q_factorial[g - s] for s in range(i) if 0 <= g - s < len(q_factorial))
+                for g in range(len(q_factorial) + i - 1)
+            ]
+        counts = [0] * len(q_factorial)
+        for t in invariant_tensor_basis(d - 1, d):
+            (grade,) = {sum(idx) for idx in t.coords}
+            counts[grade] += 1
+        assert counts == q_factorial
+        if d == 4:
+            assert counts == [1, 3, 5, 6, 5, 3, 1]
+
     def test_degenerate_single_slot(self):
         basis = invariant_tensor_basis(2, 1)
         assert len(basis) == 1
