@@ -240,7 +240,11 @@ def dcp_presentation(mu: Partition) -> IdealPresentation:
 
 
 def _z_exponents(p: Poly, d: int) -> list:
-    """Terms of a Z-polynomial as (exponent tuple, coefficient) pairs."""
+    """Terms of a Z-polynomial as (exponent tuple, coefficient) pairs.
+
+    Integral coefficients come out as int, so the operator and product rows
+    built from them stay in integer arithmetic.
+    """
     out = []
     for mono, c in p.terms.items():
         exp = [0] * d
@@ -248,7 +252,7 @@ def _z_exponents(p: Poly, d: int) -> list:
             if v.family != Z_VAR or not 1 <= v.i <= d:
                 raise IndexOutOfRangeError(f"{v.render()} is not Z_1..Z_{d}")
             exp[v.i - 1] = e
-        out.append((tuple(exp), c))
+        out.append((tuple(exp), c.numerator if c.denominator == 1 else c))
     return out
 
 
@@ -420,40 +424,59 @@ def ideal_membership(
     caps = caps or DEFAULT_CAPS
     if degree_cap is None:
         degree_cap = caps.membership_degree_cap
-    if p.is_zero:
-        return True
-    d = presentation.nvars
-    p_terms = _z_exponents(p, d)  # also validates the variable universe
-    if max(sum(exp) for exp, _ in p_terms) > degree_cap:
-        return False
-    gens = [(g.total_degree(), _z_exponents(g, d)) for g in presentation.generators]
+    return _membership_test(presentation, degree_cap, caps)(p)
 
-    windows: dict[tuple, dict] = {}
-    if all(g.is_homogeneous(g.total_degree()) for g in presentation.generators):
-        for exp, c in p_terms:
-            windows.setdefault((sum(exp), sum(exp)), {})[exp] = c
-    else:
-        windows[(0, degree_cap)] = dict(p_terms)
-    for (lo, hi), target in windows.items():
-        multipliers = [
-            (deg, terms)
-            for gd, terms in gens
-            for deg in range(max(0, lo - gd), hi - gd + 1)
-        ]
-        caps.check(
-            "max_products", sum(comb(deg + d - 1, d - 1) for deg, _ in multipliers)
-        )
-        cols = [
-            exp for deg in range(lo, hi + 1) for exp in sorted(_exponents_of_degree(d, deg))
-        ]
-        col_index = {exp: i for i, exp in enumerate(cols)}
-        pairs = (
-            (m, terms) for deg, terms in multipliers for m in _exponents_of_degree(d, deg)
-        )
-        ech = echelon_of(_product_rows(pairs, col_index))
-        if not ech.contains({col_index[exp]: c for exp, c in target.items()}):
+
+def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: ResourceCaps):
+    """The ideal_membership test for one presentation and cap, as a function of p.
+
+    The echelon of the multiples m*g spanning a degree window is built the
+    first time a polynomial needs that window and reused for every later one.
+    """
+    d = presentation.nvars
+    homogeneous = all(g.is_homogeneous(g.total_degree()) for g in presentation.generators)
+    windows: dict[tuple, tuple] = {}
+
+    def window(lo: int, hi: int) -> tuple:
+        if (lo, hi) not in windows:
+            multipliers = []
+            for g in presentation.generators:
+                gd, terms = g.total_degree(), _z_exponents(g, d)
+                multipliers += [(deg, terms) for deg in range(max(0, lo - gd), hi - gd + 1)]
+            caps.check(
+                "max_products", sum(comb(deg + d - 1, d - 1) for deg, _ in multipliers)
+            )
+            cols = [
+                exp
+                for deg in range(lo, hi + 1)
+                for exp in sorted(_exponents_of_degree(d, deg))
+            ]
+            col_index = {exp: i for i, exp in enumerate(cols)}
+            pairs = (
+                (m, terms) for deg, terms in multipliers for m in _exponents_of_degree(d, deg)
+            )
+            windows[lo, hi] = echelon_of(_product_rows(pairs, col_index)), col_index
+        return windows[lo, hi]
+
+    def member(p: Poly) -> bool:
+        if p.is_zero:
+            return True
+        p_terms = _z_exponents(p, d)  # also validates the variable universe
+        if max(sum(exp) for exp, _ in p_terms) > degree_cap:
             return False
-    return True
+        targets: dict[tuple, dict] = {}
+        if homogeneous:
+            for exp, c in p_terms:
+                targets.setdefault((sum(exp), sum(exp)), {})[exp] = c
+        else:
+            targets[(0, degree_cap)] = dict(p_terms)
+        for (lo, hi), target in targets.items():
+            ech, col_index = window(lo, hi)
+            if not ech.contains({col_index[exp]: c for exp, c in target.items()}):
+                return False
+        return True
+
+    return member
 
 
 @dataclass
@@ -483,12 +506,10 @@ def verify_dcp_equality(
         degree_cap = d * (k + 1)
     ik = ik_presentation(d, k)
     dcp = dcp_presentation(balanced_partition(d, k))
-    forward = [
-        g.render() for g in ik.generators if not ideal_membership(g, dcp, degree_cap, caps)
-    ]
-    backward = [
-        g.render() for g in dcp.generators if not ideal_membership(g, ik, degree_cap, caps)
-    ]
+    in_dcp = _membership_test(dcp, degree_cap, caps)
+    in_ik = _membership_test(ik, degree_cap, caps)
+    forward = [g.render() for g in ik.generators if not in_dcp(g)]
+    backward = [g.render() for g in dcp.generators if not in_ik(g)]
     return DcpEqualityReport(d, k, degree_cap, forward, backward)
 
 

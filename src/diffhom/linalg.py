@@ -8,11 +8,14 @@ is fraction-free: to cancel column c of row r against pivot row p one forms
 r*p[c] - p*r[c] and strips the content, so no Fraction arithmetic happens
 in the hot loop.
 
-The Echelon container maintains a reduced row echelon form incrementally.
-Because the RREF of a row space is unique, the resulting pivot rows (primitive,
-positive pivot entries) are canonical: independent of insertion order, machine
-and platform.  Null spaces derived from it are therefore deterministic,
-which the golden-file tests rely on.
+The Echelon container keeps a forward-only row echelon form: an inserted
+row is reduced against the stored pivot rows, and stored rows are never
+rewritten, so ranks and membership tests pay no back-substitution.  Reading
+`pivots` builds the reduced row echelon form once and caches it until the
+next insert.  Because the RREF of a row space is unique, its pivot rows
+(primitive, positive pivot entries) are canonical: independent of insertion
+order, machine and platform.  Null spaces derived from it are therefore
+deterministic, which the golden-file tests rely on.
 
 A linear operator enters as the images of its columns: `image_rows` turns
 "column i maps to the sparse vector images[i]" into one constraint row per
@@ -22,6 +25,7 @@ output key, so the kernel of those rows is the kernel of the operator.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -54,42 +58,75 @@ def _strip_content(row: Row) -> Row:
     return row
 
 
+def _eliminate(r: Row, rows: Mapping) -> Row:
+    """Clear from r every column that is the pivot of one of rows.
+
+    Each row of rows is primitive, pivots on its smallest key with a positive
+    entry, and may reach into later pivot columns, so columns are taken in
+    increasing key order from a heap as they enter r.  r is modified.
+    """
+    heap = [c for c in r if c in rows]
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        coeff = r.get(c)
+        if not coeff:
+            continue
+        p = rows[c]
+        lead = p[c]
+        g = gcd(coeff, lead)
+        mr, mp = lead // g, coeff // g
+        if mr != 1:
+            for cc in r:
+                r[cc] *= mr
+        for cc, vv in p.items():
+            s = r.get(cc, 0) - vv * mp
+            if s:
+                if cc not in r and cc in rows:
+                    heappush(heap, cc)
+                r[cc] = s
+            else:
+                del r[cc]
+    return _strip_content(r)
+
+
 class Echelon:
-    """Incrementally maintained reduced row echelon form."""
+    """Forward-only row echelon form whose reduced form is built on read."""
 
     def __init__(self):
-        self.pivots: dict[int, Row] = {}
+        # pivot column -> primitive row with its smallest key as a positive
+        # pivot; known to be in reduced form while self._reduced is set
+        self._rows: dict = {}
+        self._reduced = True
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> dict:
+        """The reduced row echelon form: pivot column -> primitive row.
+
+        Each row is back-substituted once, in decreasing pivot order, against
+        the later rows, which are already reduced; the result is cached until
+        the next insert.  Keys stay in the order their pivots were found.
+        """
+        if not self._reduced:
+            rows = self._rows
+            done: dict = {}
+            for c in sorted(rows, reverse=True):
+                done[c] = _eliminate(dict(rows[c]), done)
+            self._rows = {c: done[c] for c in rows}
+            self._reduced = True
+        return self._rows
 
     def reduce(self, row: Mapping[int, object]) -> Row:
-        """Fully reduce a row against the current pivot rows.
+        """Reduce a row against the stored pivot rows.
 
-        Pivot rows have no entries in other pivot columns, so one pass over
-        the pivot columns present in the row suffices.
+        The result has no entry in any pivot column; it is empty exactly
+        when the row lies in the span of the inserted rows.
         """
-        r = int_row(row)
-        for c in sorted(c for c in r if c in self.pivots):
-            coeff = r.get(c)
-            if not coeff:
-                continue
-            p = self.pivots[c]
-            lead = p[c]
-            g = gcd(coeff, lead)
-            mr, mp = lead // g, coeff // g
-            for cc, vv in p.items():
-                s = r.get(cc, 0) * mr - vv * mp
-                if s:
-                    r[cc] = s
-                else:
-                    r.pop(cc, None)
-            # remaining entries of r were scaled by mr
-            for cc in list(r):
-                if cc not in p:
-                    r[cc] = r[cc] * mr
-        return _strip_content(r)
+        return _eliminate(int_row(row), self._rows)
 
     def insert(self, row: Mapping[int, object]) -> int | None:
         """Insert a row; returns its pivot column, or None if dependent."""
@@ -99,24 +136,8 @@ class Echelon:
         c = min(r)
         if r[c] < 0:
             r = {cc: -vv for cc, vv in r.items()}
-        # back-reduce existing rows that still mention the new pivot column
-        for pc, p in self.pivots.items():
-            coeff = p.get(c)
-            if not coeff:
-                continue
-            lead = r[c]
-            g = gcd(coeff, lead)
-            mp, mr = lead // g, coeff // g
-            new_p = {}
-            for cc in set(p) | set(r):
-                s = p.get(cc, 0) * mp - r.get(cc, 0) * mr
-                if s:
-                    new_p[cc] = s
-            new_p = _strip_content(new_p)
-            if new_p[pc] < 0:
-                new_p = {cc: -vv for cc, vv in new_p.items()}
-            self.pivots[pc] = new_p
-        self.pivots[c] = r
+        self._rows[c] = r
+        self._reduced = False
         return c
 
     def extend(self, rows: Iterable[Mapping[int, object]]) -> "Echelon":

@@ -127,6 +127,36 @@ class TestMembership:
     def test_presentation_equality(self, d, k):
         assert verify_dcp_equality(d, k).passed
 
+    @pytest.mark.parametrize("d,k,cap", [(4, 1, 3), (5, 2, 4), (4, 2, 12)])
+    def test_equality_report_matches_one_call_per_generator(self, d, k, cap):
+        ik = ik_presentation(d, k)
+        dcp = dcp_presentation(balanced_partition(d, k))
+        report = verify_dcp_equality(d, k, cap)
+        assert report.uncertified_forward == [
+            g.render() for g in ik.generators if not ideal_membership(g, dcp, cap)
+        ]
+        assert report.uncertified_backward == [
+            g.render() for g in dcp.generators if not ideal_membership(g, ik, cap)
+        ]
+
+    def test_equality_builds_one_echelon_per_presentation_and_degree(self, monkeypatch):
+        built = []
+        original = harmonic.echelon_of
+
+        def counting(rows):
+            built.append(1)
+            return original(rows)
+
+        monkeypatch.setattr(harmonic, "echelon_of", counting)
+        assert verify_dcp_equality(6, 2).passed
+        ik = ik_presentation(6, 2)
+        dcp = dcp_presentation(balanced_partition(6, 2))
+        # ik generators are tested in the dcp ideal, one window per degree,
+        # and the other way round
+        ik_degrees = {g.total_degree() for g in ik.generators}
+        dcp_degrees = {g.total_degree() for g in dcp.generators}
+        assert len(built) == len(ik_degrees) + len(dcp_degrees)
+
 
 class TestSolutionSpaces:
     def test_small_kernel_elements(self):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from hypothesis import given, settings, strategies as st
 
 from diffhom.linalg import Echelon, echelon_of, image_rows, int_row, nullspace
 
@@ -115,3 +118,84 @@ def test_image_rows_transpose_column_images():
 def test_tuple_keys_pivot_in_key_order():
     ech = echelon_of([{(1, (0, 1)): 2, (0, (1, 0)): 4}, {(1, (0, 1)): 1}])
     assert ech.pivots == {(0, (1, 0)): {(0, (1, 0)): 1}, (1, (0, 1)): {(1, (0, 1)): 1}}
+
+
+# Interleaved operations on an Echelon, checked step by step against the
+# dense oracle.  ("insert", row) inserts a random row, ("combo", weights) a
+# combination of the rows inserted so far (dependent unless all weights are
+# 0 or there are none), ("contains", row) and ("rank",) query, ("pivots",)
+# reads the reduced form mid-stream.
+NCOLS = 6
+sparse_rows = st.dictionaries(
+    st.integers(0, NCOLS - 1), st.integers(-4, 4).filter(bool), max_size=NCOLS
+)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), sparse_rows),
+        st.tuples(st.just("combo"), st.lists(st.integers(-3, 3), max_size=8)),
+        st.tuples(st.just("contains"), sparse_rows),
+        st.tuples(st.just("rank")),
+        st.tuples(st.just("pivots")),
+    ),
+    max_size=14,
+)
+KEYS = {
+    "int": lambda c: c,
+    # (grade, tuple) keys whose order is the order of c
+    "tuple": lambda c: (c // 2, (c % 2, c)),
+}
+
+
+def _oracle_pivots(rows, key):
+    """The dense RREF as primitive integer rows with positive pivots."""
+    pivots, dense = dense_rref(rows, NCOLS)
+    out = {}
+    for pivot_col, row in zip(pivots, dense):
+        scale = lcm(*(x.denominator for x in row))
+        ints = {c: int(x * scale) for c, x in enumerate(row) if x}
+        g = 0
+        for v in ints.values():
+            g = gcd(g, v)
+        out[key(pivot_col)] = {key(c): v // g for c, v in ints.items()}
+    return out
+
+
+@given(operations, st.sampled_from(sorted(KEYS)))
+@settings(max_examples=150, deadline=None)
+def test_lazy_echelon_matches_dense_oracle_between_operations(ops, key_kind):
+    # ech reads its reduced form only at ("pivots",) and at the end, so it
+    # also takes runs of inserts between reads; checked reads it after every
+    # step, so each insert lands on a freshly reduced form.
+    key = KEYS[key_kind]
+    ech, checked = Echelon(), Echelon()
+    inserted = []
+    for op in ops:
+        expected = _oracle_pivots(inserted, key)
+        if op[0] in ("insert", "combo"):
+            if op[0] == "insert":
+                row = op[1]
+            else:
+                row = {}
+                for weight, r in zip(op[1], inserted):
+                    for c, v in r.items():
+                        row[c] = row.get(c, 0) + weight * v
+                row = {c: v for c, v in row.items() if v}
+            inserted.append(row)
+            new_pivots = _oracle_pivots(inserted, key).keys() - expected.keys()
+            expected = _oracle_pivots(inserted, key)
+            for e in (ech, checked):
+                pivot = e.insert({key(c): v for c, v in row.items()})
+                assert {pivot} - {None} == new_pivots
+        elif op[0] == "contains":
+            row = {key(c): v for c, v in op[1].items()}
+            in_span = len(_oracle_pivots(inserted + [op[1]], key)) == len(expected)
+            assert ech.contains(row) == checked.contains(row) == in_span
+        elif op[0] == "rank":
+            assert ech.rank == checked.rank == len(expected)
+        else:
+            assert ech.pivots == expected
+        assert checked.pivots == expected
+        for vec in nullspace(inserted, NCOLS):
+            for row in inserted:
+                assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
+    assert ech.pivots == _oracle_pivots(inserted, key)
