@@ -21,6 +21,12 @@ the powers Z_i^(k+1) force per-variable degree <= k, solution spaces live in
 finite coordinate boxes and all kernels and ranks are exact integer linear
 algebra.  Quotient dimensions are computed independently (rank of the ideal's
 image inside the box algebra), giving a second route to every dimension.
+
+Both box routes build their rows only from the pairs that land: a generator
+term Z^q meets exactly the monomials of the box shifted by q, so each term
+walks that shifted box instead of being tried against every box monomial.
+The two routes keep separate loops, so a slip in one cannot hide in the
+other; `apply_poly_operator` stays the plain operator on whole polynomials.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
+from operator import add, sub
 
 from .errors import IndexOutOfRangeError
-from .linalg import echelon_of, image_rows, nullspace, rank_of
+from .linalg import echelon_of, nullspace, rank_of
 from .polynomials import (
     Poly,
     Z_VAR,
@@ -41,7 +48,6 @@ from .polynomials import (
     z_var,
 )
 from .resources import DEFAULT_CAPS, ResourceCaps
-from .spans import span_rank
 from .tensors import (
     canonical_wronskian_exponents,
     tensor_from_multilinear,
@@ -306,23 +312,46 @@ def perp_basis(
     powers (as it does for ik_presentation(d, k) with box_bound = k); every
     generator is then applied as a differential operator on box monomials
     and the exact null space is returned as polynomials, echelon-ordered.
+
+    Only the pairs that land are visited: a generator term c*Z^q sends the
+    box monomial Z^(m+q) to c * prod falling_factorial(m_i+q_i, q_i) * Z^m,
+    so each term walks the box shifted by q (m_i <= box_bound - q_i).  Row
+    (generator, m) collects those entries, and the rows go to the
+    elimination in the order a column-by-column scan would meet them:
+    smallest column first, then generator, then term.
     """
     caps = caps or DEFAULT_CAPS
     d = presentation.nvars
     caps.check("max_box", (box_bound + 1) ** d)
     cols = _box_columns(d, box_bound)
-    gen_terms = [_z_exponents(gen, d) for gen in presentation.generators]
-    images = (
-        {
-            (gi, out): c
-            for gi, terms in enumerate(gen_terms)
-            for out, c in _derivative(b, terms).items()
-        }
-        for b in cols
-    )
+    col_index = {b: i for i, b in enumerate(cols)}
+    rows: dict = {}
+    term_index = []
+    for gi, gen in enumerate(presentation.generators):
+        terms = _z_exponents(gen, d)
+        term_index.append({q: ti for ti, (q, _) in enumerate(terms)})
+        for q, c in terms:
+            for m in product(*(range(box_bound - e + 1) for e in q)):
+                b = tuple(map(add, m, q))
+                value = c
+                for e, f in zip(b, q):
+                    if f:
+                        value *= falling_factorial(e, f)
+                key = (gi, m)
+                if key not in rows:
+                    rows[key] = {}
+                rows[key][col_index[b]] = value
+
+    def scan_order(key):
+        # the column, generator and term at which a column scan meets the row
+        gi, m = key
+        ci = min(rows[key])
+        return ci, gi, term_index[gi][tuple(map(sub, cols[ci], m))]
+
+    ordered = (rows[key] for key in sorted(rows, key=scan_order))
     return [
         Poly({_z_monomial(cols[ci]): Fraction(val) for ci, val in vec.items()})
-        for vec in nullspace(image_rows(images), len(cols))
+        for vec in nullspace(ordered, len(cols))
     ]
 
 
@@ -362,14 +391,27 @@ def _box_quotient_dimension(
     multiplication, i.e. the computation happens modulo the pure powers
     Z_i^(box_bound+1); the ideal must contain those powers for the answer
     to equal the dimension of the full quotient ring.
+
+    Only the products that land in the box are formed: a generator term
+    c*Z^e contributes to the row of m*g exactly when m_i <= box_bound - e_i,
+    so each term walks the box shifted by e.  Rows (m, generator) are
+    ranked in monomial-major, generator-minor order, and empty rows are
+    dropped.
     """
     caps.check("max_box", (box_bound + 1) ** d)
     cols = _box_columns(d, box_bound)
     gen_terms = [_z_exponents(g, d) for g in generators]
     caps.check("max_products", len(cols) * max(1, len(gen_terms)))
     col_index = {b: i for i, b in enumerate(cols)}
-    pairs = ((m, terms) for m in cols for terms in gen_terms)
-    return len(cols) - rank_of(_product_rows(pairs, col_index))
+    rows: dict = {}
+    for gi, terms in enumerate(gen_terms):
+        for e, c in terms:
+            for m in product(*(range(box_bound - x + 1) for x in e)):
+                key = (col_index[m], gi)
+                if key not in rows:
+                    rows[key] = {}
+                rows[key][col_index[tuple(map(add, m, e))]] = c
+    return len(cols) - rank_of(rows[key] for key in sorted(rows))
 
 
 def quotient_dimension(d: int, k: int, caps: ResourceCaps | None = None) -> int:
@@ -539,6 +581,15 @@ class SpanningReport:
         return self.annihilated and self.rank == self.expected_dimension
 
 
+def _kills(terms, poly_terms) -> bool:
+    """True iff the operator with the given terms annihilates the polynomial."""
+    image: dict = {}
+    for exp, c in poly_terms:
+        for out, coeff in _derivative(exp, terms).items():
+            image[out] = image.get(out, 0) + c * coeff
+    return not any(image.values())
+
+
 def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     """Check that derivatives of the column Vandermondes span the solutions.
 
@@ -548,29 +599,33 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     (computed by the operator-kernel route when the partition is balanced,
     by the quotient route otherwise).  Operators beyond the degree kill the
     polynomial, so the budget is complete.
+
+    Each product is taken apart into exponent terms once.  The operator
+    (d/dZ)^a is nonzero on it exactly when a divides one of its terms, and
+    distinct terms stay distinct after the same derivative, so one pass over
+    the divisors of every term builds the whole family as rows keyed by
+    exponent tuples.
     """
     caps = caps or DEFAULT_CAPS
     mu = mu if isinstance(mu, Partition) else Partition.of(mu)
     d = mu.d
     tableaux = enum_standard_tableaux(mu, caps)
-    deltas = [tableau_vandermonde(t) for t in tableaux]
-    gens = dcp_presentation(mu).generators
-    annihilated = all(
-        apply_poly_operator(g, delta).is_zero for g in gens for delta in deltas
-    )
+    deltas = [_z_exponents(tableau_vandermonde(t), d) for t in tableaux]
+    gen_terms = [_z_exponents(g, d) for g in dcp_presentation(mu).generators]
+    annihilated = all(_kills(terms, delta) for terms in gen_terms for delta in deltas)
     family = []
     for delta in deltas:
-        budget = delta.total_degree()
-        for deg in range(budget + 1):
-            for exp in _exponents_of_degree(d, deg):
-                op = Poly.monomial(
-                    [(z_var(i + 1), e) for i, e in enumerate(exp) if e]
-                )
-                image = apply_poly_operator(op, delta)
-                if not image.is_zero:
-                    family.append(image)
+        images: dict = {}
+        for exp, c in delta:
+            for a in product(*(range(e + 1) for e in exp)):
+                value = c
+                for e, f in zip(exp, a):
+                    if f:
+                        value *= falling_factorial(e, f)
+                images.setdefault(a, {})[tuple(map(sub, exp, a))] = value
+        family += images.values()
     caps.check("max_products", len(family))
-    rank = span_rank(family)
+    rank = rank_of(family)
     k = matching_order(mu)
     if k is not None:
         expected = len(perp_basis(ik_presentation(d, k), k, caps))

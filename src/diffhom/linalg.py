@@ -176,18 +176,26 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
 
     Returns one primitive integer vector per free column, ordered by the
     free column index, with a positive entry at the free column.  This is
-    the reduced-echelon kernel basis, hence deterministic.
+    the reduced-echelon kernel basis, hence deterministic.  Vectors stay in
+    integers throughout: the pivot rows are transposed once into a map
+    column -> [(pivot, lead, value)], and each vector is scaled by the lcm
+    of the leads it meets before its content is stripped.
     """
-    ech = echelon_of(rows)
-    piv = ech.pivots
+    piv = echelon_of(rows).pivots
+    by_column: dict = {}
+    for pc, p in piv.items():
+        lead = p[pc]
+        for c, v in p.items():
+            if c != pc:
+                by_column.setdefault(c, []).append((pc, lead, v))
     basis: list[Row] = []
     for f in range(ncols):
         if f in piv:
             continue
-        entries = {f: Fraction(1)}
-        for pc, p in piv.items():
-            v = p.get(f)
-            if v:
-                entries[pc] = Fraction(-v, p[pc])
-        basis.append(int_row(entries))
+        entries = by_column.get(f, ())
+        scale = lcm(*(lead for _, lead, _ in entries))
+        vec = {f: scale}
+        for pc, lead, v in entries:
+            vec[pc] = -v * (scale // lead)
+        basis.append(_strip_content(vec))
     return basis

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diffhom
 from diffhom.cli import main
@@ -251,3 +255,56 @@ def test_out_of_range_options_exit_2(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "must be at least" in err
+
+
+FUZZ_OPTIONS = {
+    "dim": ("--N", "--d", "--k"),
+    "tensor-inv": ("--k", "--d"),
+    "harmonic": ("--d", "--k"),
+    "dcp": ("--d", "--k", "--cap"),
+    "sigma": ("--d", "--N"),
+    "verify": ("--N", "--k", "--dmax"),
+}
+ENV_CAPS = (
+    "DIFFHOM_MAX_BASIS_COLUMNS",
+    "DIFFHOM_MAX_BOX",
+    "DIFFHOM_MAX_PRODUCTS",
+    "DIFFHOM_MEMBERSHIP_CAP",
+    "DIFFHOM_MAX_ENUMERATION",
+)
+# small, negative and non-numeric values; sizes stay small enough to run in seconds
+fuzz_values = st.one_of(
+    st.integers(-3, 3).map(str), st.sampled_from(["", "x", "1.5", "-", "0x2", " 2", "1e3"])
+)
+fuzz_env = st.dictionaries(
+    st.sampled_from(ENV_CAPS),
+    st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["", "abc", "2.5", " 7"])),
+    max_size=2,
+)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    for option in FUZZ_OPTIONS[command]:
+        if draw(st.integers(0, 5)):  # now and then leave a required option out
+            argv += [option, draw(fuzz_values)]
+    return argv
+
+
+@given(fuzz_argv(), fuzz_env)
+@settings(max_examples=40, deadline=None)
+def test_cli_fuzz_exits_cleanly(argv, env):
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.dict(os.environ, env),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed argv with exit 2
+            code = exc.code
+    assert code in (0, 1, 2), (argv, env, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import product
 from math import factorial
 
 import pytest
@@ -31,9 +32,10 @@ from diffhom.harmonic import (
     verify_spanning,
 )
 from diffhom.harmonic import IdealPresentation
+from diffhom.linalg import image_rows, nullspace, rank_of
 from diffhom.polynomials import Poly, z_var
 from diffhom.resources import DEFAULT_CAPS
-from diffhom.spans import spans_equal
+from diffhom.spans import span_rank, spans_equal
 from diffhom.tensors import invariant_tensor_basis, to_harmonic
 
 Z1, Z2, Z3 = (Poly.variable(z_var(i)) for i in (1, 2, 3))
@@ -294,3 +296,133 @@ class TestBlockSurjectivity:
             verify_block_surjectivity(4, 1, caps)
         report = verify_block_surjectivity(4, 1, replace(caps, max_enumeration=factorial(4)))
         assert report.escalated and not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the box routes against the all-pairs routes they replace
+
+
+def all_partitions(d):
+    """Every partition of d as a Partition, largest first part first."""
+
+    def parts(n, largest):
+        if n == 0:
+            yield ()
+        for first in range(min(n, largest), 0, -1):
+            for rest in parts(n - first, first):
+                yield (first,) + rest
+
+    return [Partition.of(p) for p in parts(d, d)]
+
+
+IK_CASES = [(d, k) for d in range(1, 10) for k in range(d + 1) if (k + 1) ** d <= 729]
+DCP_SHAPES = [mu for d in range(1, 5) for mu in all_partitions(d)]
+
+
+def box(d, bound):
+    return sorted(product(range(bound + 1), repeat=d), key=lambda t: (sum(t), t))
+
+
+def z_monomial(exp):
+    return Poly.monomial([(z_var(i + 1), e) for i, e in enumerate(exp)])
+
+
+def kernel_by_columns(presentation, bound):
+    """The operator kernel from every generator applied to every box monomial."""
+    monos = [z_monomial(b) for b in box(presentation.nvars, bound)]
+    images = (
+        {
+            (gi, m): c
+            for gi, g in enumerate(presentation.generators)
+            for m, c in apply_poly_operator(g, mono).terms.items()
+        }
+        for mono in monos
+    )
+    return [
+        sum((c * monos[ci] for ci, c in vec.items()), Poly.zero())
+        for vec in nullspace(image_rows(images), len(monos))
+    ]
+
+
+def quotient_by_all_pairs(generators, d, bound):
+    """Box dimension minus the rank of every product m*g, cut to the box."""
+    cols = box(d, bound)
+    column = {b: i for i, b in enumerate(cols)}
+    gen_terms = []
+    for g in generators:
+        terms = []
+        for mono, c in g.terms.items():
+            exp = [0] * d
+            for v, e in mono:
+                exp[v.i - 1] = e
+            terms.append((exp, c))
+        gen_terms.append(terms)
+    rows = []
+    for m in cols:
+        for terms in gen_terms:
+            products = ((tuple(a + b for a, b in zip(m, exp)), c) for exp, c in terms)
+            rows.append({column[b]: c for b, c in products if b in column})
+    return len(cols) - rank_of(rows)
+
+
+def spanning_by_operators(mu):
+    """Annihilation flag and derivative family from apply_poly_operator."""
+    deltas = [tableau_vandermonde(t) for t in enum_standard_tableaux(mu)]
+    gens = dcp_presentation(mu).generators
+    annihilated = all(apply_poly_operator(g, delta).is_zero for g in gens for delta in deltas)
+    family = []
+    for delta in deltas:
+        budget = delta.total_degree()
+        for exp in product(range(budget + 1), repeat=mu.d):
+            if sum(exp) <= budget:
+                image = apply_poly_operator(z_monomial(exp), delta)
+                if not image.is_zero:
+                    family.append(image)
+    return annihilated, family
+
+
+def rendered(polys):
+    return [p.render() for p in polys]
+
+
+class TestBoxRoutesAgainstAllPairs:
+    @pytest.mark.parametrize("d,k", IK_CASES)
+    def test_ik_kernel(self, d, k):
+        pres = ik_presentation(d, k)
+        assert rendered(perp_basis(pres, k)) == rendered(kernel_by_columns(pres, k))
+
+    @pytest.mark.parametrize("mu", DCP_SHAPES, ids=str)
+    def test_dcp_kernel(self, mu):
+        pres = dcp_presentation(mu)
+        assert rendered(perp_basis(pres, mu.d - 1)) == rendered(kernel_by_columns(pres, mu.d - 1))
+
+    @pytest.mark.parametrize("d,k", IK_CASES)
+    def test_ik_quotient(self, d, k):
+        gens = [elementary_symmetric(range(1, d + 1), j) for j in range(1, d + 1)]
+        assert quotient_dimension(d, k) == quotient_by_all_pairs(gens, d, k)
+
+    @pytest.mark.parametrize("mu", DCP_SHAPES, ids=str)
+    def test_dcp_quotient(self, mu):
+        gens = dcp_presentation(mu).generators
+        assert dcp_quotient_dimension(mu) == quotient_by_all_pairs(gens, mu.d, mu.d - 1)
+
+    @pytest.mark.parametrize("mu", [mu for d in range(1, 6) for mu in all_partitions(d)], ids=str)
+    def test_spanning_family(self, mu, monkeypatch):
+        # the derivative family is the first set of rows verify_spanning ranks
+        ranked = []
+
+        def capture(rows):
+            ranked.append(list(rows))
+            return rank_of(ranked[-1])
+
+        monkeypatch.setattr(harmonic, "rank_of", capture)
+        report = verify_spanning(mu)
+        family = [
+            sum((c * z_monomial(exp) for exp, c in row.items()), Poly.zero())
+            for row in ranked[0]
+        ]
+        annihilated, expected = spanning_by_operators(mu)
+        assert report.annihilated == annihilated
+        assert report.rank == span_rank(expected)
+        assert len(family) == len(expected)  # the size the max_products cap sees
+        assert spans_equal(family, expected)
