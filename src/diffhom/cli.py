@@ -234,7 +234,7 @@ def _cmd_verify_all(args) -> int:
     if args.config is not None:
         try:
             data = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read configuration: {exc}") from exc
     cfg = SuiteConfig.from_dict(data)
     cfg = dataclasses.replace(

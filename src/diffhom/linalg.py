@@ -34,16 +34,16 @@ Row = dict  # dict[key, int], primitive
 
 def int_row(row: Mapping[int, object]) -> Row:
     """Convert a sparse row with int/Fraction values to a primitive int row."""
-    items = [(c, v) for c, v in row.items() if v]
-    if not items:
-        return {}
-    denom = 1
-    for _, v in items:
-        if isinstance(v, Fraction):
-            denom = lcm(denom, v.denominator)
-    out = {}
-    for c, v in items:
-        out[c] = int(v * denom) if isinstance(v, Fraction) else v * denom
+    out = {c: v for c, v in row.items() if v}
+    if not all(type(v) is int for v in out.values()):
+        denom = 1
+        for v in out.values():
+            if isinstance(v, Fraction):
+                denom = lcm(denom, v.denominator)
+        out = {
+            c: int(v * denom) if isinstance(v, Fraction) else v * denom
+            for c, v in out.items()
+        }
     return _strip_content(out)
 
 

@@ -8,11 +8,12 @@ tensor is invariant under the unipotent group generated by I + alpha*J
 exactly when every insertion operator kills it.
 
 Tensors are stored sparsely in the f-basis: coords maps an exponent tuple
-(a_1..a_d) in {0..k}^d to a rational coordinate.  All operators preserve the
-total grade sum(a_i) up to a shift, so kernel computations split into graded
-blocks; the basis routine exploits this and intersects the operator kernels
-iteratively (the first operator does the heavy pruning, later ones act on
-the already-small intersection).
+(a_1..a_d) in {0..k}^d to a rational coordinate.  The basis routine works in
+the Lie algebra: with J_s the shift in slot s, the insertion operators are
+ell! * e_ell(J_1..J_d), and since the J_s commute, Newton's identities over
+Q give the same joint kernel for the power sums p_m = sum_s J_s^m.  Each p_m
+lowers the total grade sum(a_i) by m, so the kernel is one null space of
+power-sum rows per grade, and J^(k+1) = 0 leaves only m <= min(k, d).
 
 Two translations connect tensors to polynomials: `to_harmonic` maps the
 f-basis to monomials in auxiliary Z variables (turning insertion operators
@@ -29,7 +30,7 @@ from itertools import combinations, product
 from math import factorial
 
 from .errors import IndexOutOfRangeError
-from .linalg import echelon_of, image_rows, nullspace, rank_of
+from .linalg import echelon_of, nullspace, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
@@ -216,11 +217,17 @@ def invariant_tensor_basis(
 ) -> list[Tensor]:
     """Canonical basis of the joint kernel of all insertion operators.
 
-    The operator kernels are intersected iteratively, one insertion order at
-    a time, inside blocks of the box.  For the canonical shift the blocks
-    are the grades (coordinate sums), which every insertion operator shifts
-    uniformly; an explicit operator matrix (e.g. a conjugated shift) need
-    not respect the grading, so the whole box is one block.
+    The insertion operators are ell! * e_ell(J_1..J_d), where J_s is the
+    operator M acting in slot s.  The J_s commute, so by Newton's identities
+    over Q the elementary symmetric functions e_1..e_d and the power sums
+    p_m = sum_s J_s^m (m = 1..d) generate the same ideal, and the two
+    operator sets have the same joint kernel.  That kernel is taken as one
+    null space per block of the box: each unit column contributes
+    (M^m)[r][a_s] to the row of p_m at the index with slot s set to r.  For
+    the canonical shift J^m lowers the grade (coordinate sum) by m, so the
+    grades are the blocks and only m <= min(k, d) gives rows; an explicit
+    operator matrix (e.g. a conjugated shift) need not respect the grading,
+    so the whole box is one block.
 
     The returned basis is the reduced echelon basis over the box
     coordinates ordered by (grade, index tuple): deterministic and, for
@@ -230,32 +237,49 @@ def invariant_tensor_basis(
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
 
-    # per block, kernel vectors as sparse integer dicts over index tuples.  The
-    # box is enumerated in descending index order, so each ell=1 constraint
-    # row pivots on its raised-first-slot column and elimination stays close
-    # to triangular; the final echelon makes the output independent of it.
-    blocks: dict[int, list[dict]] = {}
-    for idx in product(range(k, -1, -1), repeat=d):
-        blocks.setdefault(sum(idx) if matrix is None else 0, []).append({idx: 1})
-    for ell in range(1, d + 1):
-        for block, vectors in blocks.items():
-            images = (
-                insertion_operator(Tensor(k, d, vec), ell, matrix).coords for vec in vectors
-            )
-            new_vectors = []
-            for combo in nullspace(image_rows(images), len(vectors)):
-                acc: dict = {}
-                for ci, weight in combo.items():
-                    for idx, c in vectors[ci].items():
-                        acc[idx] = acc.get(idx, 0) + weight * c
-                new_vectors.append({idx: c for idx, c in acc.items() if c})
-            blocks[block] = new_vectors
+    graded = matrix is None
+    if graded:
+        matrix = [[a if r == a - 1 else 0 for a in range(k + 1)] for r in range(k + 1)]
+    # lowering[m-1][a]: the nonzero entries (r, (M^m)[r][a]) of column a of M^m
+    lowering = []
+    power = matrix
+    for m in range(1, d + 1):
+        if m > 1:
+            power = [
+                [sum(power[r][t] * matrix[t][a] for t in range(k + 1)) for a in range(k + 1)]
+                for r in range(k + 1)
+            ]
+        lowering.append(
+            [[(r, power[r][a]) for r in range(k + 1) if power[r][a]] for a in range(k + 1)]
+        )
 
-    ech = echelon_of(
-        {(sum(idx), idx): c for idx, c in vec.items()}
-        for vectors in blocks.values()
-        for vec in vectors
-    )
+    # The box is enumerated in descending index order and the rows are
+    # eliminated shortest first, ties broken by their smallest column, so
+    # the elimination stays close to triangular; the final echelon makes
+    # the output independent of both orders.
+    blocks: dict[int, list[tuple]] = {}
+    for idx in product(range(k, -1, -1), repeat=d):
+        blocks.setdefault(sum(idx) if graded else 0, []).append(idx)
+    kernel: list[dict] = []
+    for columns in blocks.values():
+        rows: dict = {}
+        for col, idx in enumerate(columns):
+            for m, by_entry in enumerate(lowering, start=1):
+                for s, a in enumerate(idx):
+                    for r, c in by_entry[a]:
+                        row = rows.setdefault((m, idx[:s] + (r,) + idx[s + 1 :]), {})
+                        v = row.get(col, 0) + c
+                        if v:
+                            row[col] = v
+                        else:
+                            del row[col]
+        ordered = sorted(
+            (row for row in rows.values() if row), key=lambda row: (len(row), min(row))
+        )
+        for vec in nullspace(ordered, len(columns)):
+            kernel.append({columns[col]: c for col, c in vec.items()})
+
+    ech = echelon_of({(sum(idx), idx): c for idx, c in vec.items()} for vec in kernel)
     return [
         Tensor.make(k, d, {idx: Fraction(v) for (_, idx), v in ech.pivots[key].items()})
         for key in sorted(ech.pivots)

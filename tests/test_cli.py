@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import diffhom
 from diffhom.cli import main
+from diffhom.resources import ResourceCaps
 
 
 def run_cli(capsys, *argv):
@@ -307,4 +309,68 @@ def test_cli_fuzz_exits_cleanly(argv, env):
         except SystemExit as exc:  # argparse rejects malformed argv with exit 2
             code = exc.code
     assert code in (0, 1, 2), (argv, env, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+CAP_NAMES = tuple(ResourceCaps.__dataclass_fields__)
+# wrong types, bools, negatives and nested values in every config position
+wrong_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-2, 2), st.booleans(), st.text(max_size=1)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 1), max_size=2),
+)
+# value lists small enough that a valid config runs in well under a second
+tiny_values = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+config_entries = st.fixed_dictionaries(
+    {},
+    optional={
+        "n_values": st.one_of(tiny_values, wrong_values),
+        "k_values": st.one_of(tiny_values, wrong_values),
+        "caps": st.one_of(
+            st.dictionaries(
+                st.one_of(st.sampled_from(CAP_NAMES), st.text(max_size=3)),
+                st.one_of(st.integers(-2, 40), wrong_values),
+                max_size=2,
+            ),
+            wrong_values,
+        ),
+        "format": st.one_of(st.sampled_from(["text", "json", "csv", "xml"]), wrong_values),
+        "seed": st.one_of(st.integers(-(2**70), 2**70), wrong_values),
+        "extra": wrong_values,
+    },
+)
+config_texts = st.one_of(
+    # a JSON object; d_values is always set, so that a valid config stays small
+    st.builds(
+        lambda entries, d_values: json.dumps({**entries, "d_values": d_values}),
+        config_entries,
+        st.one_of(tiny_values, wrong_values),
+    ),
+    # a top level that is not an object
+    wrong_values.map(json.dumps),
+    # text that is not JSON, and bytes that are not UTF-8
+    st.sampled_from(["", "{", "[1,", "NaN", "{'d_values': [1]}"]),
+    st.binary(max_size=6).map(lambda b: b"\xff" + b),
+    # nesting deeper than the parser's recursion limit
+    st.sampled_from([3, 5_000]).map(lambda n: "[" * n + "]" * n),
+)
+
+
+@given(config_texts)
+@settings(max_examples=25, deadline=None)
+def test_verify_all_config_fuzz_exits_cleanly(text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify-all", "--config", str(cfg)])
+    assert code in (0, 1, 2), (text, err.getvalue())
     assert "Traceback" not in err.getvalue()

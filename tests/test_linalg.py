@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffhom.linalg import Echelon, echelon_of, image_rows, int_row, nullspace
@@ -13,6 +14,43 @@ from diffhom.linalg import Echelon, echelon_of, image_rows, int_row, nullspace
 def test_int_row_clears_denominators():
     row = int_row({0: Fraction(1, 2), 1: Fraction(1, 3)})
     assert row == {0: 3, 1: 2}
+
+
+def _int_row_by_lcm(row):
+    """The lcm-and-convert formula applied to every row, int or not."""
+    items = [(c, v) for c, v in row.items() if v]
+    if not items:
+        return {}
+    denom = 1
+    for _, v in items:
+        if isinstance(v, Fraction):
+            denom = lcm(denom, v.denominator)
+    out = {c: int(v * denom) if isinstance(v, Fraction) else v * denom for c, v in items}
+    g = 0
+    for v in out.values():
+        g = gcd(g, v)
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {},
+        {0: 0, 1: 0},
+        {0: 4, 1: -6, 2: 0},
+        {3: 7, 1: 5},
+        {0: True, 1: 2},
+        {0: True, 1: False, 2: True},
+        {0: Fraction(4), 1: 6},
+        {0: Fraction(2, 1), 1: Fraction(0), 2: Fraction(-8, 1)},
+        {0: Fraction(1, 2), 1: 3, 2: 0},
+        {5: -3, 2: Fraction(9, 6)},
+    ],
+)
+def test_int_row_matches_the_lcm_formula(row):
+    new, old = int_row(row), _int_row_by_lcm(row)
+    assert list(new.items()) == list(old.items())
+    assert [type(v) for v in new.values()] == [type(v) for v in old.values()] == [int] * len(new)
 
 
 def test_rank_and_contains():

@@ -12,7 +12,7 @@ import pytest
 from diffhom.errors import IndexOutOfRangeError
 from diffhom.harmonic import apply_poly_operator, elementary_symmetric
 from diffhom.jets import JetContext, is_diff_homogeneous
-from diffhom.linalg import rank_of
+from diffhom.linalg import echelon_of, image_rows, nullspace, rank_of
 from diffhom.polynomials import Poly, jet_var, slot_var, z_var
 from diffhom.tensors import (
     NilpotentModel,
@@ -99,7 +99,7 @@ class TestInvariantBasis:
     def test_dimension_is_factorial(self, d):
         assert len(invariant_tensor_basis(d - 1 if d > 1 else 0, d)) == factorial(d)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_grade_counts_are_the_q_factorial(self, d):
         # at k = d-1 the invariant tensors are the S_d-harmonics, whose
         # dimension in grade g is the coefficient of q^g in [d]_q!
@@ -116,6 +116,8 @@ class TestInvariantBasis:
         assert counts == q_factorial
         if d == 4:
             assert counts == [1, 3, 5, 6, 5, 3, 1]
+        if d == 5:
+            assert counts == [1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1]
 
     def test_degenerate_single_slot(self):
         basis = invariant_tensor_basis(2, 1)
@@ -198,6 +200,74 @@ def _invert(m):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _iterated_insertion_basis(k, d, matrix=None):
+    """Invariant basis by intersecting the insertion-operator kernels in turn.
+
+    Per block of the box (grades for the shift, the whole box for a matrix),
+    the images of the current kernel vectors under each insertion operator
+    ell = 1..d become constraint rows; their null space recombines the
+    vectors.  The result goes through the same (grade, index) echelon as the
+    library route, so the two must render identically.
+    """
+    blocks = {}
+    for idx in product(range(k, -1, -1), repeat=d):
+        blocks.setdefault(sum(idx) if matrix is None else 0, []).append({idx: 1})
+    for ell in range(1, d + 1):
+        for block, vectors in blocks.items():
+            images = [insertion_operator(Tensor(k, d, vec), ell, matrix).coords for vec in vectors]
+            recombined = []
+            for combo in nullspace(image_rows(images), len(vectors)):
+                acc = {}
+                for ci, weight in combo.items():
+                    for idx, c in vectors[ci].items():
+                        acc[idx] = acc.get(idx, 0) + weight * c
+                recombined.append({idx: c for idx, c in acc.items() if c})
+            blocks[block] = recombined
+    ech = echelon_of(
+        {(sum(idx), idx): c for idx, c in vec.items()}
+        for vectors in blocks.values()
+        for vec in vectors
+    )
+    return [
+        Tensor.make(k, d, {idx: Fraction(v) for (_, idx), v in ech.pivots[key].items()})
+        for key in sorted(ech.pivots)
+    ]
+
+
+# every shift box with d, k <= 10 and at most 1024 coordinates
+POWER_SUM_SHIFT_CASES = [
+    (k, d) for d in range(1, 11) for k in range(11) if (k + 1) ** d <= 1024
+]
+
+
+class TestPowerSumRouteAgainstInsertion:
+    """The power-sum rows give the kernel of the insertion operators."""
+
+    @pytest.mark.parametrize("k,d", POWER_SUM_SHIFT_CASES)
+    def test_shift(self, k, d):
+        expected = [t.render() for t in _iterated_insertion_basis(k, d)]
+        assert [t.render() for t in invariant_tensor_basis(k, d)] == expected
+
+    @pytest.mark.parametrize("k,d", [(1, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+    def test_matrix(self, k, d):
+        rng = random.Random(100 * k + d)
+        base = NilpotentModel(k).matrix()
+        matrices = [base]
+        for _ in range(3):
+            s = _random_unitriangular(rng, k + 1)
+            matrices.append(_matmul(_matmul(s, base), _invert(s)))
+        if (k + 1) ** d <= 81:
+            # a conjugation that is not triangular puts entries on the diagonal
+            # of the powers, so row entries from different slots meet and may
+            # cancel; its dense rows make the iterated route slow on larger boxes
+            lower = [list(row) for row in zip(*_random_unitriangular(rng, k + 1))]
+            s = _matmul(lower, _random_unitriangular(rng, k + 1))
+            matrices.append(_matmul(_matmul(s, base), _invert(s)))
+        for m in matrices:
+            expected = [t.render() for t in _iterated_insertion_basis(k, d, m)]
+            assert [t.render() for t in invariant_tensor_basis(k, d, matrix=m)] == expected
 
 
 class TestWronskian:
