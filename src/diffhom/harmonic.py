@@ -27,18 +27,29 @@ term Z^q meets exactly the monomials of the box shifted by q, so each term
 walks that shifted box instead of being tried against every box monomial.
 The two routes keep separate loops, so a slip in one cannot hide in the
 other; `apply_poly_operator` stays the plain operator on whole polynomials.
+
+The kernel route and the homogeneous membership windows skip most dependent
+rows before elimination with a syzygy criterion (the matrix form of
+Faugere's F5): with the generators taken in order, the multiple m*g_j is
+dropped when m is a leading term of the span of the earlier generators'
+multiples, because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both
+parts are spanned by rows that are kept (see perp_basis).  The span, and so
+every kernel vector and membership verdict, is unchanged.  The quotient
+route ranks every landing pair on purpose, so that it stays an independent
+second computation of each dimension; inhomogeneous membership windows keep
+every product too, because there the argument does not hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial
 from operator import add, sub
 
 from .errors import IndexOutOfRangeError
-from .linalg import echelon_of, nullspace, rank_of
+from .linalg import Echelon, rank_of
 from .polynomials import (
     Poly,
     Z_VAR,
@@ -315,43 +326,53 @@ def perp_basis(
 
     Only the pairs that land are visited: a generator term c*Z^q sends the
     box monomial Z^(m+q) to c * prod falling_factorial(m_i+q_i, q_i) * Z^m,
-    so each term walks the box shifted by q (m_i <= box_bound - q_i).  Row
-    (generator, m) collects those entries, and the rows go to the
-    elimination in the order a column-by-column scan would meet them:
-    smallest column first, then generator, then term.
+    so each term walks the box shifted by q (m_i <= box_bound - q_i), with
+    the weights read from one table of falling factorials up to box_bound.
+    Row (generator, m)
+    collects those entries; it is (1/m!) * (Z^m*g mod Z_i^(box_bound+1))
+    scaled by b! at column b, so the rows of the generators before g span
+    an ideal of the truncated box algebra.
+
+    Most of these rows are dependent, and a syzygy criterion (the matrix
+    form of Faugere's F5) skips them before elimination.  The generators are
+    taken in presentation order, each one's rows by descending multiplier,
+    and the row (g_j, m) is skipped when m is the pivot column of a row
+    inserted before g_j.  Then some h in the span of the earlier rows has
+    smallest key m, and Z^m*g_j = h*g_j - (h - Z^m)*g_j up to scaling: the
+    operators commute, so h*g_j lies in the span of the rows of the earlier
+    generators, and (h - Z^m)*g_j in the span of the rows of g_j with larger
+    multipliers, which came first.  The kept rows therefore span the same
+    space, and the canonical kernel is unchanged.  The argument needs
+    neither homogeneity nor the pure powers in the presentation.
     """
     caps = caps or DEFAULT_CAPS
     d = presentation.nvars
     caps.check("max_box", (box_bound + 1) ** d)
     cols = _box_columns(d, box_bound)
     col_index = {b: i for i, b in enumerate(cols)}
-    rows: dict = {}
-    term_index = []
-    for gi, gen in enumerate(presentation.generators):
-        terms = _z_exponents(gen, d)
-        term_index.append({q: ti for ti, (q, _) in enumerate(terms)})
-        for q, c in terms:
+    weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(box_bound + 1)]
+    ech = Echelon()
+    for gen in presentation.generators:
+        skip = set(ech.leads)
+        rows: dict = {}
+        for q, c in _z_exponents(gen, d):
             for m in product(*(range(box_bound - e + 1) for e in q)):
+                mi = col_index[m]
+                if mi in skip:
+                    continue
                 b = tuple(map(add, m, q))
                 value = c
                 for e, f in zip(b, q):
                     if f:
-                        value *= falling_factorial(e, f)
-                key = (gi, m)
-                if key not in rows:
-                    rows[key] = {}
-                rows[key][col_index[b]] = value
-
-    def scan_order(key):
-        # the column, generator and term at which a column scan meets the row
-        gi, m = key
-        ci = min(rows[key])
-        return ci, gi, term_index[gi][tuple(map(sub, cols[ci], m))]
-
-    ordered = (rows[key] for key in sorted(rows, key=scan_order))
+                        value *= weight[e][f]
+                if mi not in rows:
+                    rows[mi] = {}
+                rows[mi][col_index[b]] = value
+        for mi in sorted(rows, reverse=True):
+            ech.insert(rows[mi])
     return [
         Poly({_z_monomial(cols[ci]): Fraction(val) for ci, val in vec.items()})
-        for vec in nullspace(ordered, len(cols))
+        for vec in ech.kernel(len(cols))
     ]
 
 
@@ -474,30 +495,47 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
 
     The echelon of the multiples m*g spanning a degree window is built the
     first time a polynomial needs that window and reused for every later one.
+    `max_products` is checked against the window's full family of products
+    before anything is built.
+
+    With homogeneous generators each window is one degree t, and the syzygy
+    criterion of perp_basis prunes it: the product m*g_j is skipped when m
+    is the pivot column of a product of an earlier generator in window
+    t - deg g_j, because that window spans the degree-(t - deg g_j) part of
+    the ideal of g_1..g_(j-1).  So every window records its rank before each
+    generator, which gives the prefix of its pivot columns that generator
+    may read, and the lower windows it reads are built first, in increasing
+    degree.  The inhomogeneous window 0..degree_cap keeps every product: an
+    element of the span there may have lower degree than the products that
+    span it, and the argument fails.
     """
     d = presentation.nvars
-    homogeneous = all(g.is_homogeneous(g.total_degree()) for g in presentation.generators)
+    gens = [(g.total_degree(), _z_exponents(g, d)) for g in presentation.generators]
+    homogeneous = all(g.is_homogeneous(gd) for g, (gd, _) in zip(presentation.generators, gens))
     windows: dict[tuple, tuple] = {}
 
     def window(lo: int, hi: int) -> tuple:
         if (lo, hi) not in windows:
-            multipliers = []
-            for g in presentation.generators:
-                gd, terms = g.total_degree(), _z_exponents(g, d)
-                multipliers += [(deg, terms) for deg in range(max(0, lo - gd), hi - gd + 1)]
             caps.check(
-                "max_products", sum(comb(deg + d - 1, d - 1) for deg, _ in multipliers)
+                "max_products",
+                sum(
+                    comb(deg + d - 1, d - 1)
+                    for gd, _ in gens
+                    for deg in range(max(0, lo - gd), hi - gd + 1)
+                ),
             )
-            cols = [
-                exp
-                for deg in range(lo, hi + 1)
-                for exp in sorted(_exponents_of_degree(d, deg))
-            ]
-            col_index = {exp: i for i, exp in enumerate(cols)}
-            pairs = (
-                (m, terms) for deg, terms in multipliers for m in _exponents_of_degree(d, deg)
-            )
-            windows[lo, hi] = echelon_of(_product_rows(pairs, col_index)), col_index
+            if homogeneous:
+                # a worklist, not recursion, so a high degree cannot exhaust the stack
+                below, todo = set(), [lo]
+                while todo:
+                    t = todo.pop()
+                    for gd, _ in gens:
+                        if 0 < gd <= t and t - gd not in below:
+                            below.add(t - gd)
+                            todo.append(t - gd)
+                for t in sorted(below):
+                    window(t, t)
+            windows[lo, hi] = _window(gens, d, lo, hi, windows if homogeneous else None)
         return windows[lo, hi]
 
     def member(p: Poly) -> bool:
@@ -513,12 +551,43 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
         else:
             targets[(0, degree_cap)] = dict(p_terms)
         for (lo, hi), target in targets.items():
-            ech, col_index = window(lo, hi)
+            ech, _, col_index, _ = window(lo, hi)
             if not ech.contains({col_index[exp]: c for exp, c in target.items()}):
                 return False
         return True
 
     return member
+
+
+def _window(gens, d: int, lo: int, hi: int, lower: dict | None) -> tuple:
+    """The echelon of the products m*g with lo <= deg(m*g) <= hi.
+
+    gens lists (total degree, terms) per generator.  Returns (echelon,
+    columns, column index, echelon rank before each generator).  With lower
+    None every product is inserted; otherwise lo == hi, lower holds the
+    built windows of the lower degrees, and each generator's products are
+    inserted by descending multiplier, skipping the multipliers that are
+    pivot columns of the earlier generators in the window they come from
+    (this window itself for a constant generator).
+    """
+    cols = [exp for deg in range(lo, hi + 1) for exp in sorted(_exponents_of_degree(d, deg))]
+    col_index = {exp: i for i, exp in enumerate(cols)}
+    ech, ranks = Echelon(), []
+    built = ech, cols, col_index, ranks
+    for j, (gd, terms) in enumerate(gens):
+        ranks.append(ech.rank)
+        if lower is None:
+            degrees = range(max(0, lo - gd), hi - gd + 1)
+            mults = [m for deg in degrees for m in _exponents_of_degree(d, deg)]
+        elif gd <= lo:
+            low_ech, low_cols, _, low_ranks = lower[lo - gd, lo - gd] if gd else built
+            skip = set(islice(low_ech.leads, low_ranks[j]))
+            mults = [low_cols[i] for i in reversed(range(len(low_cols))) if i not in skip]
+        else:
+            continue
+        for row in _product_rows(((m, terms) for m in mults), col_index):
+            ech.insert(row)
+    return built
 
 
 @dataclass
@@ -613,6 +682,8 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     deltas = [_z_exponents(tableau_vandermonde(t), d) for t in tableaux]
     gen_terms = [_z_exponents(g, d) for g in dcp_presentation(mu).generators]
     annihilated = all(_kills(terms, delta) for terms in gen_terms for delta in deltas)
+    # each Z_e sits in one column, so its exponent is below the column length
+    weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(d)]
     family = []
     for delta in deltas:
         images: dict = {}
@@ -621,7 +692,7 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
                 value = c
                 for e, f in zip(exp, a):
                     if f:
-                        value *= falling_factorial(e, f)
+                        value *= weight[e][f]
                 images.setdefault(a, {})[tuple(map(sub, exp, a))] = value
         family += images.values()
     caps.check("max_products", len(family))

@@ -62,6 +62,9 @@ class SuiteConfig:
     def from_dict(data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
+        unknown = set(data) - set(SuiteConfig().to_dict())
+        if unknown:
+            raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         updates = {}
         for key in ("n_values", "d_values", "k_values"):
             if key in data:

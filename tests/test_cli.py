@@ -208,6 +208,17 @@ def test_verify_all_bad_config(capsys, tmp_path):
     assert "configuration error" in err
 
 
+def test_verify_all_rejects_unknown_config_keys(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_value": [1]}))
+    code, out, err = run_cli(capsys, "verify-all", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error")
+    assert "d_value" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_all_missing_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify-all", "--config", str(tmp_path / "nope.json"))
     assert code == 2

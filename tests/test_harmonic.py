@@ -32,7 +32,7 @@ from diffhom.harmonic import (
     verify_spanning,
 )
 from diffhom.harmonic import IdealPresentation
-from diffhom.linalg import image_rows, nullspace, rank_of
+from diffhom.linalg import Echelon, image_rows, nullspace, rank_of
 from diffhom.polynomials import Poly, z_var
 from diffhom.resources import DEFAULT_CAPS
 from diffhom.spans import span_rank, spans_equal
@@ -143,21 +143,49 @@ class TestMembership:
 
     def test_equality_builds_one_echelon_per_presentation_and_degree(self, monkeypatch):
         built = []
-        original = harmonic.echelon_of
+        original = harmonic._window
 
-        def counting(rows):
-            built.append(1)
-            return original(rows)
+        def recording(gens, d, lo, hi, lower):
+            built.append((gens, lo, hi))
+            return original(gens, d, lo, hi, lower)
 
-        monkeypatch.setattr(harmonic, "echelon_of", counting)
+        monkeypatch.setattr(harmonic, "_window", recording)
         assert verify_dcp_equality(6, 2).passed
-        ik = ik_presentation(6, 2)
-        dcp = dcp_presentation(balanced_partition(6, 2))
-        # ik generators are tested in the dcp ideal, one window per degree,
-        # and the other way round
-        ik_degrees = {g.total_degree() for g in ik.generators}
-        dcp_degrees = {g.total_degree() for g in dcp.generators}
-        assert len(built) == len(ik_degrees) + len(dcp_degrees)
+        # the ik generators are tested in the dcp ideal and the other way
+        # round; each side reads degrees 1..6, and the degree-1 window reads
+        # the (empty) degree-0 window for its pivot columns
+        by_presentation: dict = {}
+        for gens, lo, hi in built:
+            assert lo == hi
+            by_presentation.setdefault(id(gens), []).append(lo)
+        assert len(built) == 14
+        assert [sorted(degrees) for degrees in by_presentation.values()] == [list(range(7))] * 2
+
+    @pytest.mark.parametrize(
+        "cap,verdicts",
+        [
+            (0, [[False] * 5, [False] * 5, [True, False, False, False]]),
+            (
+                1,
+                [
+                    [False, True, True, False, False],
+                    [False, True, True, False, True],
+                    [True, True, True, False],
+                ],
+            ),
+        ],
+    )
+    def test_inhomogeneous_windows_at_small_caps(self, cap, verdicts):
+        # window 0..cap has lo == hi at cap 0, and still keeps every product
+        one = Poly.constant(1)
+        cases = [
+            ((Z1 + Z1**2, Z2), [one, Z2, 2 * Z2, Z1, Z1 + Z1**2]),
+            ((Z1 + one, Z2), [one, Z1 + one, Z1 + Z2 + one, Z1, Z2]),
+            ((Z1 + Z1**2, 3 * one), [one, Z1, Z2 + 5 * one, Z1**2]),
+        ]
+        for (gens, targets), expected in zip(cases, verdicts):
+            pres = IdealPresentation(2, gens, "custom")
+            assert [ideal_membership(p, pres, cap) for p in targets] == expected
 
 
 class TestSolutionSpaces:
@@ -426,3 +454,99 @@ class TestBoxRoutesAgainstAllPairs:
         assert report.rank == span_rank(expected)
         assert len(family) == len(expected)  # the size the max_products cap sees
         assert spans_equal(family, expected)
+
+
+# ---------------------------------------------------------------------------
+# the syzygy criterion against the systems it prunes
+
+
+def z_poly(terms):
+    """The polynomial with the given {exponent tuple: coefficient} terms."""
+    return sum((c * z_monomial(exp) for exp, c in terms.items()), Poly.zero())
+
+
+def sparse_polys(d, degrees):
+    """Nonzero integer polynomials in Z_1..Z_d with terms of the given degrees."""
+    exps = [e for e in product(range(max(degrees) + 1), repeat=d) if sum(e) in degrees]
+    coefficients = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(st.sampled_from(exps), coefficients, min_size=1, max_size=3).map(z_poly)
+
+
+@st.composite
+def box_presentations(draw):
+    d = draw(st.integers(1, 4))
+    bound = draw(st.integers(1, 3))
+    gens = draw(st.lists(sparse_polys(d, range(4)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens += [Poly.monomial([(z_var(i), bound + 1)]) for i in range(1, d + 1)]
+    gens = draw(st.permutations(gens))
+    return IdealPresentation(d, tuple(gens), "random"), bound
+
+
+@given(box_presentations())
+@settings(max_examples=60, deadline=None)
+def test_pruned_kernel_matches_all_pairs(case):
+    pres, bound = case
+    assert rendered(perp_basis(pres, bound)) == rendered(kernel_by_columns(pres, bound))
+
+
+def member_by_all_products(p, presentation):
+    """Membership of homogeneous p from every product m*g of its degree."""
+    d, t = presentation.nvars, p.total_degree()
+
+    def monomials(degree):
+        return [e for e in product(range(degree + 1), repeat=d) if sum(e) == degree]
+
+    cols = {e: i for i, e in enumerate(monomials(t))}
+
+    def row(poly):
+        out = {}
+        for mono, c in poly.terms.items():
+            exp = [0] * d
+            for v, e in mono:
+                exp[v.i - 1] = e
+            out[cols[tuple(exp)]] = c
+        return out
+
+    ech = Echelon()
+    for g in presentation.generators:
+        if g.total_degree() <= t:
+            for m in monomials(t - g.total_degree()):
+                ech.insert(row(z_monomial(m) * g))
+    return ech.contains(row(p))
+
+
+@st.composite
+def homogeneous_cases(draw):
+    d = draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    if draw(st.integers(0, 4)) == 0:
+        degrees.append(0)  # a constant generator reads its own window
+    gens = draw(st.permutations([draw(sparse_polys(d, [t])) for t in degrees]))
+    targets = draw(st.lists(sparse_polys(d, [draw(st.integers(0, 5))]), min_size=1, max_size=3))
+    # multiples of the generators, so that members occur
+    targets += [g * draw(sparse_polys(d, [draw(st.integers(0, 2))])) for g in gens]
+    return IdealPresentation(d, tuple(gens), "random"), targets
+
+
+@given(homogeneous_cases(), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_pruned_membership_matches_all_products(case, cap):
+    pres, targets = case
+    expected = [p.total_degree() <= cap and member_by_all_products(p, pres) for p in targets]
+    assert [ideal_membership(p, pres, cap) for p in targets] == expected
+
+
+def test_pruned_kernel_inserts_fewer_rows(monkeypatch):
+    inserted = []
+    original = Echelon.insert
+
+    def counting(self, row):
+        inserted.append(1)
+        return original(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    basis = perp_basis(ik_presentation(7, 2), 2)
+    assert len(basis) == closed_form_dimension(7, 2)
+    # every landing (generator, multiplier) pair would be 10,206 rows
+    assert len(inserted) == 3421

@@ -94,6 +94,23 @@ def test_incremental_insert_reports_dependence():
     assert ech.rank == 2
 
 
+def test_leads_are_the_pivots_in_the_order_found():
+    rows = [{2: 1, 3: 1}, {0: 1, 2: 1}, {0: 2, 2: 2}, {1: 1, 3: 4}]
+    ech = Echelon()
+    found = [c for c in (ech.insert(row) for row in rows) if c is not None]
+    assert list(ech.leads) == found == [2, 0, 1]
+    assert set(ech.leads) == set(ech.pivots)
+    assert list(ech.leads) == found  # reading the RREF keeps the order
+
+
+def test_kernel_of_a_row_by_row_echelon_is_the_nullspace():
+    rows = [{0: 5, 1: 1, 3: 2}, {1: 7, 2: -3}, {0: 1, 2: 1, 3: 1}, {0: 6, 1: 8, 2: -3, 3: 2}]
+    ech = Echelon()
+    for row in reversed(rows):
+        ech.insert(row)
+    assert ech.kernel(5) == nullspace(rows, 5)
+
+
 def dense_rref(rows, ncols):
     """Independent dense Gauss-Jordan oracle over Fraction."""
     mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]

@@ -129,11 +129,19 @@ def test_property_checks_total_at_least_200_instances():
         {"caps": {"unknown_cap": 3}},
         {"format": "yaml"},
         {"seed": "abc"},
+        {"d_value": [1]},
+        {"d_values": [2], "output_format": "json"},
     ],
 )
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict(bad)
+
+
+def test_config_round_trips_through_its_dict():
+    assert SuiteConfig.from_dict(SuiteConfig().to_dict()) == SuiteConfig()
+    custom = SuiteConfig.from_dict({"d_values": [2, 3], "caps": {"max_box": 7}, "seed": 5})
+    assert SuiteConfig.from_dict(custom.to_dict()) == custom
 
 
 def test_export_rejects_unknown_format(degree_two_report):
