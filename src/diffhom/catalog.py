@@ -24,7 +24,7 @@ from math import factorial
 
 from .errors import InvalidCompositionError, InvalidIndexError
 from .jets import JetContext, diff_homog_basis
-from .polynomials import Poly, determinant, falling_factorial, jet_var
+from .polynomials import Poly, compositions, determinant, falling_factorial, jet_var
 from .resources import DEFAULT_CAPS, ResourceCaps
 from .spans import rank_modulo, span_rank, spans_equal
 
@@ -45,12 +45,6 @@ def _deletion_ok(alpha: tuple, i: int) -> bool:
     """After deleting slot i (1-based), is every entry at most position-1?"""
     hat = alpha[: i - 1] + alpha[i:]
     return all(a <= j for j, a in enumerate(hat))
-
-
-def is_model_index(alpha: tuple) -> bool:
-    return any(
-        a == 0 and _deletion_ok(alpha, i) for i, a in enumerate(alpha, start=1)
-    )
 
 
 def model_witness(alpha: tuple) -> int | None:
@@ -188,14 +182,6 @@ def top_order_nested_indices(
                 raise InvalidIndexError(f"degree-one index {idx} fails the predicate")
             out.append(idx)
         return out
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
 
     out = []
     count = 0

@@ -31,6 +31,14 @@ def _at_least(args, **minima) -> None:
             raise ConfigError(f"--{name} must be at least {low}, got {value}")
 
 
+def _write(path: str, text: str) -> None:
+    """Write a text file; a path that cannot be written exits 2, not a traceback."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _cmd_dim(args) -> int:
     caps = caps_from_env()
     ctx = jets.JetContext(args.N, args.k, args.d)
@@ -48,7 +56,7 @@ def _cmd_dim(args) -> int:
         if args.json == "-":
             sys.stdout.write(text)
         else:
-            Path(args.json).write_text(text)
+            _write(args.json, text)
     else:
         print(f"N={args.N} d={args.d} k={args.k}: dimension {basis.dimension}")
         if args.basis:
@@ -163,13 +171,13 @@ def _cmd_generators(args) -> int:
         for family in payload["families"]:
             expected = cat.nested_count_formula(args.N, family["degree"])
             lines.append(f"{family['degree']},{expected},{family['count']}")
-        Path(args.counts_csv).write_text("\n".join(lines) + "\n")
+        _write(args.counts_csv, "\n".join(lines) + "\n")
     if args.json is not None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         if args.json == "-":
             sys.stdout.write(text)
         else:
-            Path(args.json).write_text(text)
+            _write(args.json, text)
         return 0
     for family in payload["families"]:
         print(f"degree {family['degree']} (order {family['order']}): {family['count']} generators")
@@ -244,10 +252,7 @@ def _cmd_verify_all(args) -> int:
     rendered = export(report, cfg.output_format, include_timing=args.include_timing)
     sys.stdout.write(rendered)
     if args.out is not None:
-        try:
-            Path(args.out).write_text(export_json(report, args.include_timing))
-        except OSError as exc:
-            raise ConfigError(f"cannot write report: {exc}") from exc
+        _write(args.out, export_json(report, args.include_timing))
     return report.exit_code
 
 

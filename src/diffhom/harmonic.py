@@ -53,6 +53,7 @@ from .linalg import Echelon, rank_of
 from .polynomials import (
     Poly,
     Z_VAR,
+    compositions,
     determinant,
     falling_factorial,
     slot_var,
@@ -376,15 +377,6 @@ def perp_basis(
     ]
 
 
-def _exponents_of_degree(d: int, degree: int):
-    if d == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _exponents_of_degree(d - 1, degree - first):
-            yield (first,) + rest
-
-
 def _product_rows(pairs, col_index: dict) -> list:
     """Rows of the products m*g for (monomial exponent m, terms of g) pairs.
 
@@ -570,7 +562,7 @@ def _window(gens, d: int, lo: int, hi: int, lower: dict | None) -> tuple:
     pivot columns of the earlier generators in the window they come from
     (this window itself for a constant generator).
     """
-    cols = [exp for deg in range(lo, hi + 1) for exp in sorted(_exponents_of_degree(d, deg))]
+    cols = [exp for deg in range(lo, hi + 1) for exp in compositions(deg, d)]
     col_index = {exp: i for i, exp in enumerate(cols)}
     ech, ranks = Echelon(), []
     built = ech, cols, col_index, ranks
@@ -578,7 +570,7 @@ def _window(gens, d: int, lo: int, hi: int, lower: dict | None) -> tuple:
         ranks.append(ech.rank)
         if lower is None:
             degrees = range(max(0, lo - gd), hi - gd + 1)
-            mults = [m for deg in degrees for m in _exponents_of_degree(d, deg)]
+            mults = [m for deg in degrees for m in compositions(deg, d)]
         elif gd <= lo:
             low_ech, low_cols, _, low_ranks = lower[lo - gd, lo - gd] if gd else built
             skip = set(islice(low_ech.leads, low_ranks[j]))

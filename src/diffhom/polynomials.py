@@ -21,6 +21,7 @@ rationals print as p/q.  Golden files and JSON exports rely on this form.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -381,3 +382,15 @@ def determinant(matrix: Sequence[Sequence[Poly]]) -> Poly:
 def falling_factorial(n: int, k: int) -> int:
     """n (n-1) ... (n-k+1); equals n!/(n-k)! for 0 <= k <= n."""
     return factorial(n) // factorial(n - k)
+
+
+def compositions(total: int, parts: int):
+    """Exponent tuples of `parts` nonnegative entries summing to total, in lex order.
+
+    Each tuple is read off the positions of parts-1 bars among total+parts-1
+    places (stars and bars); lex order of the bar positions is lex order of
+    the tuples.
+    """
+    n = total + parts - 1
+    for bars in combinations(range(n), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n,)))

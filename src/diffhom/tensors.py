@@ -30,7 +30,7 @@ from itertools import combinations, product
 from math import factorial
 
 from .errors import IndexOutOfRangeError
-from .linalg import echelon_of, nullspace, rank_of
+from .linalg import nullspace, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
@@ -116,52 +116,29 @@ class Tensor:
         )
 
 
-def _insert_shift(coords: dict, slots: tuple) -> dict:
-    """Apply the canonical shift J in each of the given slots."""
-    out: dict = {}
+def _apply_in_slots(out: dict, coords: dict, slots: tuple, columns) -> None:
+    """Add to out the operator applied in each of the given slots.
+
+    columns[a] lists the nonzero entries (r, M[r][a]) of column a of the
+    operator M; each coordinate is expanded through all the slots at once,
+    one entry of its column per slot.
+    """
     for idx, c in coords.items():
-        coeff = c
-        ok = True
+        picks = []
         for s in slots:
-            a = idx[s]
-            if a == 0:
-                ok = False
-                break
-            coeff = coeff * a
-        if not ok:
-            continue
-        lowered = list(idx)
-        for s in slots:
-            lowered[s] -= 1
-        key = tuple(lowered)
-        s_val = out.get(key, 0) + coeff
-        if s_val:
-            out[key] = s_val
+            column = columns[idx[s]]
+            if not column:
+                break  # M kills this coordinate; most do for the shift
+            picks.append(column)
         else:
-            out.pop(key, None)
-    return out
-
-
-def _insert_matrix(coords: dict, slots: tuple, matrix) -> dict:
-    """Apply an arbitrary operator matrix in each of the given slots."""
-    current = coords
-    dim = len(matrix)
-    for s in slots:
-        nxt: dict = {}
-        for idx, c in current.items():
-            a = idx[s]
-            for r in range(dim):
-                m = matrix[r][a]
-                if not m:
-                    continue
-                key = idx[:s] + (r,) + idx[s + 1 :]
-                v = nxt.get(key, 0) + c * m
-                if v:
-                    nxt[key] = v
-                else:
-                    nxt.pop(key, None)
-        current = nxt
-    return current
+            for entries in product(*picks):
+                key = list(idx)
+                v = c
+                for s, (r, m) in zip(slots, entries):
+                    key[s] = r
+                    v *= m
+                key = tuple(key)
+                out[key] = out.get(key, 0) + v
 
 
 def insertion_operator(t: Tensor, ell: int, matrix=None) -> Tensor:
@@ -172,21 +149,17 @@ def insertion_operator(t: Tensor, ell: int, matrix=None) -> Tensor:
     """
     if not 1 <= ell <= t.d:
         raise IndexOutOfRangeError(f"insertion order {ell} outside 1..{t.d}")
+    if matrix is None:
+        columns = [[(a - 1, a)] if a else [] for a in range(t.k + 1)]
+    else:
+        columns = [
+            [(r, row[a]) for r, row in enumerate(matrix) if row[a]] for a in range(len(matrix))
+        ]
     total: dict = {}
     for slots in combinations(range(t.d), ell):
-        piece = (
-            _insert_shift(t.coords, slots)
-            if matrix is None
-            else _insert_matrix(t.coords, slots, matrix)
-        )
-        for idx, c in piece.items():
-            v = total.get(idx, 0) + c
-            if v:
-                total[idx] = v
-            else:
-                total.pop(idx, None)
+        _apply_in_slots(total, t.coords, slots, columns)
     mult = factorial(ell)
-    return Tensor(t.k, t.d, {idx: mult * c for idx, c in total.items()})
+    return Tensor(t.k, t.d, {idx: mult * c for idx, c in total.items() if c})
 
 
 def expand_one_parameter(t: Tensor, alpha: Fraction) -> Tensor:
@@ -232,7 +205,18 @@ def invariant_tensor_basis(
     The returned basis is the reduced echelon basis over the box
     coordinates ordered by (grade, index tuple): deterministic and, for
     k >= d-1, literally identical to the k = d-1 basis under the inclusion
-    of the smaller box.
+    of the smaller box.  No second elimination builds it: each block lists
+    its columns in descending (grade, index) order, and a `nullspace` vector
+    is primitive, positive at its free column f, zero at the other free
+    columns, and nonzero elsewhere only at pivot columns before f, which
+    carry larger keys.  Read in ascending key order, f is its leading key,
+    so the vectors of all blocks, reversed, are that unique reduced basis.
+
+    Two loops stay apart from the slot-operator routine of
+    `insertion_operator` on purpose: the `lowering` table below, because
+    `insertion_operator` is the oracle these power-sum rows are tested
+    against, and `expand_one_parameter`, the independent side of the
+    one-parameter-expansion property check.
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
@@ -240,7 +224,8 @@ def invariant_tensor_basis(
     graded = matrix is None
     if graded:
         matrix = [[a if r == a - 1 else 0 for a in range(k + 1)] for r in range(k + 1)]
-    # lowering[m-1][a]: the nonzero entries (r, (M^m)[r][a]) of column a of M^m
+    # lowering[m-1][a]: the nonzero entries (r, (M^m)[r][a]) of column a of
+    # M^m; built here, not by insertion_operator, which is tested against it
     lowering = []
     power = matrix
     for m in range(1, d + 1):
@@ -253,14 +238,16 @@ def invariant_tensor_basis(
             [[(r, power[r][a]) for r in range(k + 1) if power[r][a]] for a in range(k + 1)]
         )
 
-    # The box is enumerated in descending index order and the rows are
+    # Columns run in descending (grade, index) order, so each null space
+    # vector's free column is its smallest key and the reversed vectors are
+    # the reduced echelon basis over ascending (grade, index).  The rows are
     # eliminated shortest first, ties broken by their smallest column, so
-    # the elimination stays close to triangular; the final echelon makes
-    # the output independent of both orders.
+    # the elimination stays close to triangular.
     blocks: dict[int, list[tuple]] = {}
-    for idx in product(range(k, -1, -1), repeat=d):
+    box = sorted(product(range(k + 1), repeat=d), key=lambda t: (sum(t), t), reverse=True)
+    for idx in box:
         blocks.setdefault(sum(idx) if graded else 0, []).append(idx)
-    kernel: list[dict] = []
+    basis: list[Tensor] = []
     for columns in blocks.values():
         rows: dict = {}
         for col, idx in enumerate(columns):
@@ -277,13 +264,9 @@ def invariant_tensor_basis(
             (row for row in rows.values() if row), key=lambda row: (len(row), min(row))
         )
         for vec in nullspace(ordered, len(columns)):
-            kernel.append({columns[col]: c for col, c in vec.items()})
-
-    ech = echelon_of({(sum(idx), idx): c for idx, c in vec.items()} for vec in kernel)
-    return [
-        Tensor.make(k, d, {idx: Fraction(v) for (_, idx), v in ech.pivots[key].items()})
-        for key in sorted(ech.pivots)
-    ]
+            basis.append(Tensor(k, d, {columns[col]: Fraction(c) for col, c in vec.items()}))
+    basis.reverse()
+    return basis
 
 
 def wronskian(alpha, d: int | None = None, k: int | None = None) -> Poly:

@@ -225,6 +225,33 @@ def test_verify_all_missing_config(capsys, tmp_path):
     assert "cannot read configuration" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dim", "--N", "1", "--d", "2", "--k", "1", "--json"),
+        ("generators", "--N", "1", "--k", "1", "--json"),
+        ("generators", "--N", "1", "--k", "1", "--counts-csv"),
+    ],
+)
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "out.txt")
+    code, _, err = run_cli(capsys, *argv, target)
+    assert code == 2
+    assert err.startswith("configuration error: cannot write")
+    assert target in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_all_unwritable_out_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_values": [2]}))
+    target = str(tmp_path / "missing" / "report.json")
+    code, _, err = run_cli(capsys, "verify-all", "--config", str(cfg), "--out", target)
+    assert code == 2
+    assert err.startswith("configuration error: cannot write")
+    assert len(err.splitlines()) == 1
+
+
 def test_env_cap_must_be_a_positive_integer(capsys, monkeypatch):
     for raw in ("abc", "0", "-3"):
         monkeypatch.setenv("DIFFHOM_MAX_BOX", raw)

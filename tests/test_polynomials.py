@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from diffhom.errors import NonSquareError, NotLinearError, UnmappedVariableError
 from diffhom.polynomials import (
     Poly,
+    compositions,
     determinant,
     jet_var,
     slot_var,
@@ -221,3 +223,10 @@ def test_leibniz_rule(a, b, v):
     lhs = (a * b).partial_derivative(v)
     rhs = a * b.partial_derivative(v) + b * a.partial_derivative(v)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("total,parts", [(0, 1), (3, 1), (0, 2), (4, 2), (2, 3), (5, 3), (3, 4)])
+def test_compositions_are_all_tuples_in_lex_order(total, parts):
+    out = list(compositions(total, parts))
+    assert out == [t for t in product(range(total + 1), repeat=parts) if sum(t) == total]
+    assert len(out) == comb(total + parts - 1, parts - 1)

@@ -270,6 +270,30 @@ class TestPowerSumRouteAgainstInsertion:
             assert [t.render() for t in invariant_tensor_basis(k, d, matrix=m)] == expected
 
 
+# the conjugated shift whose basis digest test_rendered_bases pins
+CONJUGATED_SHIFT = [[0, 1, 3, -7], [0, 0, 2, -1], [0, 0, 0, 3], [0, 0, 0, 0]]
+
+
+class TestCanonicalForm:
+    """The basis is already the reduced echelon basis over (grade, index).
+
+    Re-eliminating it keyed by (grade, index tuple) must give back the same
+    renders in the same order, on boxes beyond the insertion oracle's range.
+    """
+
+    @pytest.mark.parametrize(
+        "k,d,matrix", [(4, 5, None), (2, 7, None), (3, 4, CONJUGATED_SHIFT)]
+    )
+    def test_reechelon_is_identity(self, k, d, matrix):
+        basis = invariant_tensor_basis(k, d, matrix=matrix)
+        ech = echelon_of({(sum(idx), idx): c for idx, c in t.coords.items()} for t in basis)
+        expected = [
+            Tensor.make(k, d, {idx: v for (_, idx), v in ech.pivots[key].items()}).render()
+            for key in sorted(ech.pivots)
+        ]
+        assert [t.render() for t in basis] == expected
+
+
 class TestWronskian:
     def test_base_tuple(self):
         w = wronskian((0, 0), 2)
