@@ -39,6 +39,15 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
+def _emit_json(payload, path: str = "-") -> None:
+    """Write the payload as indented, key-sorted JSON to stdout ("-") or a file."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        _write(path, text)
+
+
 def _cmd_dim(args) -> int:
     caps = caps_from_env()
     ctx = jets.JetContext(args.N, args.k, args.d)
@@ -52,11 +61,7 @@ def _cmd_dim(args) -> int:
         "basis": rendered,
     }
     if args.json is not None:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            _write(args.json, text)
+        _emit_json(payload, args.json)
     else:
         print(f"N={args.N} d={args.d} k={args.k}: dimension {basis.dimension}")
         if args.basis:
@@ -93,7 +98,7 @@ def _cmd_harmonic(args) -> int:
             "closedFormula": formula,
             "status": "pass" if ok else "fail",
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit_json(payload)
         return 0 if ok else 1
     print(f"d={args.d} k={args.k}")
     print(f"  kernel dimension:   {kernel}")
@@ -118,7 +123,7 @@ def _cmd_dcp(args) -> int:
             "uncertifiedBackward": report.uncertified_backward,
             "status": "pass" if report.passed else "fail",
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit_json(payload)
         return 0 if report.passed else 1
     print(f"d={args.d} k={args.k} (partition {mu}, degree cap {report.degree_cap})")
     if report.passed:
@@ -173,11 +178,7 @@ def _cmd_generators(args) -> int:
             lines.append(f"{family['degree']},{expected},{family['count']}")
         _write(args.counts_csv, "\n".join(lines) + "\n")
     if args.json is not None:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            _write(args.json, text)
+        _emit_json(payload, args.json)
         return 0
     for family in payload["families"]:
         print(f"degree {family['degree']} (order {family['order']}): {family['count']} generators")

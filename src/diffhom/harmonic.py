@@ -28,23 +28,25 @@ walks that shifted box instead of being tried against every box monomial.
 The two routes keep separate loops, so a slip in one cannot hide in the
 other; `apply_poly_operator` stays the plain operator on whole polynomials.
 
-The kernel route and the homogeneous membership windows skip most dependent
-rows before elimination with a syzygy criterion (the matrix form of
-Faugere's F5): with the generators taken in order, the multiple m*g_j is
-dropped when m is a leading term of the span of the earlier generators'
-multiples, because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both
-parts are spanned by rows that are kept (see perp_basis).  The span, and so
-every kernel vector and membership verdict, is unchanged.  The quotient
-route ranks every landing pair on purpose, so that it stays an independent
-second computation of each dimension; inhomogeneous membership windows keep
-every product too, because there the argument does not hold.
+The kernel route and the membership windows skip most dependent rows
+before elimination with a syzygy criterion (the matrix form of Faugere's
+F5): with the generators taken in order, the multiple m*g_j is dropped when
+m is a leading term of the span of the earlier generators' multiples,
+because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both parts are
+spanned by rows that are kept (see perp_basis).  The span, and so every
+kernel vector and membership verdict, is unchanged.  A membership window is
+one degree of a homogeneous presentation; an inhomogeneous presentation is
+homogenized with an extra variable Z_0 first, which keeps every bounded-
+degree verdict (see _membership_test).  The quotient route ranks every
+landing pair on purpose, so that it stays an independent second computation
+of each dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, islice, product
 from math import comb, factorial
 from operator import add, sub
 
@@ -377,24 +379,6 @@ def perp_basis(
     ]
 
 
-def _product_rows(pairs, col_index: dict) -> list:
-    """Rows of the products m*g for (monomial exponent m, terms of g) pairs.
-
-    Product monomials outside col_index are dropped, which is how the box
-    computations work modulo the pure powers above the box bound.
-    """
-    rows = []
-    for m, terms in pairs:
-        row = {}
-        for exp, c in terms:
-            ci = col_index.get(tuple(me + ee for me, ee in zip(m, exp)))
-            if ci is not None:
-                row[ci] = c
-        if row:
-            rows.append(row)
-    return rows
-
-
 def _box_quotient_dimension(
     generators, d: int, box_bound: int, caps: ResourceCaps
 ) -> int:
@@ -473,8 +457,11 @@ def ideal_membership(
     the generators with deg(m*g) <= degree_cap.  False only means "not
     certified within the cap", never a disproof.  With homogeneous
     generators the bounded span is graded, so each homogeneous part of p is
-    tested alone in its own degree, which is equivalent and much smaller;
-    otherwise p is tested in all degrees 0..degree_cap at once.
+    tested alone in its own degree, which is equivalent and much smaller.
+    An inhomogeneous presentation is homogenized with an extra variable Z_0,
+    and p, homogenized to degree degree_cap, is tested in that one degree:
+    setting Z_0 = 1 maps that degree of the homogenized ideal one to one
+    onto the bounded span.
     """
     caps = caps or DEFAULT_CAPS
     if degree_cap is None:
@@ -485,50 +472,50 @@ def ideal_membership(
 def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: ResourceCaps):
     """The ideal_membership test for one presentation and cap, as a function of p.
 
-    The echelon of the multiples m*g spanning a degree window is built the
-    first time a polynomial needs that window and reused for every later one.
-    `max_products` is checked against the window's full family of products
-    before anything is built.
+    Every test runs in one degree t of a homogeneous presentation, whose
+    degree-t part is spanned by the products m*g with deg(m*g) = t.  An
+    inhomogeneous presentation is first homogenized: a new first exponent,
+    of Z_0, makes up each generator term's missing degree, and a term
+    c*Z^e of p becomes c*Z_0^(cap - |e|)*Z^e, so p is tested at degree cap.
+    Setting Z_0 = 1 is a bijection from the degree-cap forms in Z_0..Z_d
+    onto the polynomials of degree <= cap in Z_1..Z_d, and it maps
+    Z_0^a*Z^m*G onto Z^m*g for the homogenized G of g, so the degree-cap
+    part of the homogenized ideal goes onto the span of the m*g with
+    deg(m*g) <= cap, and each verdict is that of the bounded span.  The
+    product counts agree too: sum over g of C(cap - deg g + d, d).
 
-    With homogeneous generators each window is one degree t, and the syzygy
-    criterion of perp_basis prunes it: the product m*g_j is skipped when m
-    is the pivot column of a product of an earlier generator in window
-    t - deg g_j, because that window spans the degree-(t - deg g_j) part of
-    the ideal of g_1..g_(j-1).  So every window records its rank before each
-    generator, which gives the prefix of its pivot columns that generator
-    may read, and the lower windows it reads are built first, in increasing
-    degree.  The inhomogeneous window 0..degree_cap keeps every product: an
-    element of the span there may have lower degree than the products that
-    span it, and the argument fails.
+    The echelon of a degree is built the first time a polynomial needs it
+    and reused for every later one.  `max_products` is checked against the
+    family of the needed degree before anything is built; the lower degrees
+    it reads have smaller families.  The syzygy criterion of perp_basis
+    prunes every degree: the product m*g_j is skipped when m is the pivot
+    column of a product of an earlier generator in degree t - deg g_j,
+    because that degree spans the degree-(t - deg g_j) part of the ideal of
+    g_1..g_(j-1).  So each degree records its rank before each generator,
+    which gives the prefix of its pivot columns that generator may read, and
+    the lower degrees it reads are found by one descending sweep and built
+    first, in increasing degree.
     """
     d = presentation.nvars
     gens = [(g.total_degree(), _z_exponents(g, d)) for g in presentation.generators]
-    homogeneous = all(g.is_homogeneous(gd) for g, (gd, _) in zip(presentation.generators, gens))
-    windows: dict[tuple, tuple] = {}
+    homogenize = not all(g.is_homogeneous(gd) for g, (gd, _) in zip(presentation.generators, gens))
+    if homogenize:
+        gens = [(gd, [((gd - sum(e),) + e, c) for e, c in terms]) for gd, terms in gens]
+    nvars = d + 1 if homogenize else d
+    windows: dict[int, tuple] = {}
 
-    def window(lo: int, hi: int) -> tuple:
-        if (lo, hi) not in windows:
+    def window(t: int) -> tuple:
+        if t not in windows:
             caps.check(
-                "max_products",
-                sum(
-                    comb(deg + d - 1, d - 1)
-                    for gd, _ in gens
-                    for deg in range(max(0, lo - gd), hi - gd + 1)
-                ),
+                "max_products", sum(comb(t - gd + nvars - 1, nvars - 1) for gd, _ in gens if gd <= t)
             )
-            if homogeneous:
-                # a worklist, not recursion, so a high degree cannot exhaust the stack
-                below, todo = set(), [lo]
-                while todo:
-                    t = todo.pop()
-                    for gd, _ in gens:
-                        if 0 < gd <= t and t - gd not in below:
-                            below.add(t - gd)
-                            todo.append(t - gd)
-                for t in sorted(below):
-                    window(t, t)
-            windows[lo, hi] = _window(gens, d, lo, hi, windows if homogeneous else None)
-        return windows[lo, hi]
+            needed = {t}
+            for s in range(t, 0, -1):
+                if s in needed:
+                    needed.update(s - gd for gd, _ in gens if 0 < gd <= s)
+            for s in sorted(needed - windows.keys()):
+                windows[s] = _window(gens, nvars, s, windows)
+        return windows[t]
 
     def member(p: Poly) -> bool:
         if p.is_zero:
@@ -536,14 +523,13 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
         p_terms = _z_exponents(p, d)  # also validates the variable universe
         if max(sum(exp) for exp, _ in p_terms) > degree_cap:
             return False
-        targets: dict[tuple, dict] = {}
-        if homogeneous:
-            for exp, c in p_terms:
-                targets.setdefault((sum(exp), sum(exp)), {})[exp] = c
-        else:
-            targets[(0, degree_cap)] = dict(p_terms)
-        for (lo, hi), target in targets.items():
-            ech, _, col_index, _ = window(lo, hi)
+        targets: dict[int, dict] = {}
+        for exp, c in p_terms:
+            if homogenize:
+                exp = (degree_cap - sum(exp),) + exp
+            targets.setdefault(sum(exp), {})[exp] = c
+        for t, target in targets.items():
+            ech, _, col_index, _ = window(t)
             if not ech.contains({col_index[exp]: c for exp, c in target.items()}):
                 return False
         return True
@@ -551,34 +537,30 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
     return member
 
 
-def _window(gens, d: int, lo: int, hi: int, lower: dict | None) -> tuple:
-    """The echelon of the products m*g with lo <= deg(m*g) <= hi.
+def _window(gens, d: int, t: int, lower: dict) -> tuple:
+    """The echelon of the products m*g of degree t, pruned by the syzygy criterion.
 
-    gens lists (total degree, terms) per generator.  Returns (echelon,
-    columns, column index, echelon rank before each generator).  With lower
-    None every product is inserted; otherwise lo == hi, lower holds the
-    built windows of the lower degrees, and each generator's products are
-    inserted by descending multiplier, skipping the multipliers that are
-    pivot columns of the earlier generators in the window they come from
-    (this window itself for a constant generator).
+    gens lists (total degree, terms) of homogeneous generators, and lower
+    holds the built windows of the lower degrees.  Returns (echelon,
+    columns, column index, echelon rank before each generator).  Each
+    generator's products are inserted by descending multiplier, skipping
+    the multipliers that are pivot columns of the earlier generators in the
+    window they come from (this window itself for a constant generator).
     """
-    cols = [exp for deg in range(lo, hi + 1) for exp in compositions(deg, d)]
+    cols = list(compositions(t, d))
     col_index = {exp: i for i, exp in enumerate(cols)}
     ech, ranks = Echelon(), []
     built = ech, cols, col_index, ranks
     for j, (gd, terms) in enumerate(gens):
         ranks.append(ech.rank)
-        if lower is None:
-            degrees = range(max(0, lo - gd), hi - gd + 1)
-            mults = [m for deg in degrees for m in compositions(deg, d)]
-        elif gd <= lo:
-            low_ech, low_cols, _, low_ranks = lower[lo - gd, lo - gd] if gd else built
-            skip = set(islice(low_ech.leads, low_ranks[j]))
-            mults = [low_cols[i] for i in reversed(range(len(low_cols))) if i not in skip]
-        else:
+        if gd > t:
             continue
-        for row in _product_rows(((m, terms) for m in mults), col_index):
-            ech.insert(row)
+        low_ech, low_cols, _, low_ranks = lower[t - gd] if gd else built
+        skip = set(islice(low_ech.leads, low_ranks[j]))
+        for i in reversed(range(len(low_cols))):
+            if i not in skip:
+                m = low_cols[i]
+                ech.insert({col_index[tuple(map(add, m, e))]: c for e, c in terms})
     return built
 
 
@@ -731,7 +713,6 @@ class BlockSurjectivityReport:
     partition_count: int
     rank: int
     expected_dimension: int
-    escalated: bool
 
     @property
     def passed(self) -> bool:
@@ -747,13 +728,13 @@ def verify_block_surjectivity(
     of size r (d = q(k+1) + r); each block carries its canonical Wronskian
     basis, and all products over all unordered partitions are collected.
     Reordering within a block only changes basis, and permuting equal-size
-    blocks fixes the product, so unordered partitions suffice; if the rank
-    nevertheless fell short, the check escalates to all permutations.
+    blocks fixes the product, so the products over all d! orderings of the
+    slots are this same family: a shortfall in rank is final.
     """
     caps = caps or DEFAULT_CAPS
     if d < k + 1:
         raise IndexOutOfRangeError(f"need d >= k+1, got d={d} k={k}")
-    q, r = divmod(d, k + 1)
+    r = d % (k + 1)
     slots = tuple(range(1, d + 1))
 
     partitions = []
@@ -765,27 +746,12 @@ def verify_block_surjectivity(
     else:
         partitions.extend(_equal_blocks(slots, k + 1))
 
-    def family_rank(parts) -> int:
-        family = [
-            _block_product(blocks, alphas)
-            for blocks in parts
-            for alphas in product(*(canonical_wronskian_exponents(len(b)) for b in blocks))
-        ]
-        caps.check("max_products", len(family))
-        return rank_of(tensor_from_multilinear(p, d, k).coords for p in family)
-
-    rank = family_rank(partitions)
+    family = [
+        _block_product(blocks, alphas)
+        for blocks in partitions
+        for alphas in product(*(canonical_wronskian_exponents(len(b)) for b in blocks))
+    ]
+    caps.check("max_products", len(family))
+    rank = rank_of(tensor_from_multilinear(p, d, k).coords for p in family)
     expected = quotient_dimension(d, k, caps)
-
-    escalated = False
-    if rank < expected:
-        escalated = True
-        caps.check("max_enumeration", factorial(d))
-        all_parts = []
-        for sigma in permutations(slots):
-            blocks = [tuple(sorted(sigma[i * (k + 1) : (i + 1) * (k + 1)])) for i in range(q)]
-            if r:
-                blocks.append(tuple(sorted(sigma[q * (k + 1) :])))
-            all_parts.append(tuple(blocks))
-        rank = family_rank(all_parts)
-    return BlockSurjectivityReport(d, k, len(partitions), rank, expected, escalated)
+    return BlockSurjectivityReport(d, k, len(partitions), rank, expected)

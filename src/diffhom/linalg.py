@@ -192,15 +192,18 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
 
     Returns one primitive integer vector per free column, ordered by the
     free column index, with a positive entry at the free column.  This is
-    the reduced-echelon kernel basis, hence deterministic.  Vectors stay in
-    integers throughout: the pivot rows are transposed once into a map
-    column -> [(pivot, lead, value)], and each vector is scaled by the lcm
-    of the leads it meets before its content is stripped.
+    the reduced-echelon kernel basis, hence deterministic, whatever order
+    the rows come in; they are eliminated shortest first, ties broken by
+    their smallest column, which keeps a sparse system close to triangular.
+    Vectors stay in integers throughout: the pivot rows are transposed once
+    into a map column -> [(pivot, lead, value)], and each vector is scaled
+    by the lcm of the leads it meets before its content is stripped.
     """
+    ordered = sorted((row for row in rows if row), key=lambda row: (len(row), min(row)))
     # passing the RREF rather than the echelon frees the echelon before the
     # vectors are built, which keeps about 0.4 MB off the peak RSS of the
     # jet-invariant benchmark workload
-    return _kernel(echelon_of(rows).pivots, ncols)
+    return _kernel(echelon_of(ordered).pivots, ncols)
 
 
 def _kernel(piv: dict, ncols: int) -> list[Row]:

@@ -30,7 +30,7 @@ from itertools import combinations, product
 from math import factorial
 
 from .errors import IndexOutOfRangeError
-from .linalg import nullspace, rank_of
+from .linalg import image_rows, nullspace, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
@@ -238,32 +238,25 @@ def invariant_tensor_basis(
             [[(r, power[r][a]) for r in range(k + 1) if power[r][a]] for a in range(k + 1)]
         )
 
+    def image(idx: tuple) -> dict:
+        out: dict = {}
+        for m, by_entry in enumerate(lowering, start=1):
+            for s, a in enumerate(idx):
+                for r, c in by_entry[a]:
+                    key = (m, idx[:s] + (r,) + idx[s + 1 :])
+                    out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c}
+
     # Columns run in descending (grade, index) order, so each null space
     # vector's free column is its smallest key and the reversed vectors are
-    # the reduced echelon basis over ascending (grade, index).  The rows are
-    # eliminated shortest first, ties broken by their smallest column, so
-    # the elimination stays close to triangular.
+    # the reduced echelon basis over ascending (grade, index).
     blocks: dict[int, list[tuple]] = {}
     box = sorted(product(range(k + 1), repeat=d), key=lambda t: (sum(t), t), reverse=True)
     for idx in box:
         blocks.setdefault(sum(idx) if graded else 0, []).append(idx)
     basis: list[Tensor] = []
     for columns in blocks.values():
-        rows: dict = {}
-        for col, idx in enumerate(columns):
-            for m, by_entry in enumerate(lowering, start=1):
-                for s, a in enumerate(idx):
-                    for r, c in by_entry[a]:
-                        row = rows.setdefault((m, idx[:s] + (r,) + idx[s + 1 :]), {})
-                        v = row.get(col, 0) + c
-                        if v:
-                            row[col] = v
-                        else:
-                            del row[col]
-        ordered = sorted(
-            (row for row in rows.values() if row), key=lambda row: (len(row), min(row))
-        )
-        for vec in nullspace(ordered, len(columns)):
+        for vec in nullspace(image_rows(map(image, columns)), len(columns)):
             basis.append(Tensor(k, d, {columns[col]: Fraction(c) for col, c in vec.items()}))
     basis.reverse()
     return basis

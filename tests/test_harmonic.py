@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import product
 from math import factorial
 
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffhom import harmonic
-from diffhom.errors import ResourceLimitError
 from diffhom.harmonic import (
     Partition,
     apply_poly_operator,
@@ -33,8 +31,7 @@ from diffhom.harmonic import (
 )
 from diffhom.harmonic import IdealPresentation
 from diffhom.linalg import Echelon, image_rows, nullspace, rank_of
-from diffhom.polynomials import Poly, z_var
-from diffhom.resources import DEFAULT_CAPS
+from diffhom.polynomials import Poly, mono_degree, z_var
 from diffhom.spans import span_rank, spans_equal
 from diffhom.tensors import invariant_tensor_basis, to_harmonic
 
@@ -145,9 +142,9 @@ class TestMembership:
         built = []
         original = harmonic._window
 
-        def recording(gens, d, lo, hi, lower):
-            built.append((gens, lo, hi))
-            return original(gens, d, lo, hi, lower)
+        def recording(gens, d, t, lower):
+            built.append((gens, t))
+            return original(gens, d, t, lower)
 
         monkeypatch.setattr(harmonic, "_window", recording)
         assert verify_dcp_equality(6, 2).passed
@@ -155,9 +152,8 @@ class TestMembership:
         # round; each side reads degrees 1..6, and the degree-1 window reads
         # the (empty) degree-0 window for its pivot columns
         by_presentation: dict = {}
-        for gens, lo, hi in built:
-            assert lo == hi
-            by_presentation.setdefault(id(gens), []).append(lo)
+        for gens, t in built:
+            by_presentation.setdefault(id(gens), []).append(t)
         assert len(built) == 14
         assert [sorted(degrees) for degrees in by_presentation.values()] == [list(range(7))] * 2
 
@@ -176,7 +172,6 @@ class TestMembership:
         ],
     )
     def test_inhomogeneous_windows_at_small_caps(self, cap, verdicts):
-        # window 0..cap has lo == hi at cap 0, and still keeps every product
         one = Poly.constant(1)
         cases = [
             ((Z1 + Z1**2, Z2), [one, Z2, 2 * Z2, Z1, Z1 + Z1**2]),
@@ -309,21 +304,11 @@ class TestBlockSurjectivity:
         report = verify_block_surjectivity(d, k)
         assert report.partition_count == partitions
         assert report.rank == report.expected_dimension == rank
-        assert not report.escalated
         assert report.passed
 
     def test_rejects_short_degrees(self):
         with pytest.raises(Exception):
             verify_block_surjectivity(2, 3)
-
-    def test_escalation_checks_the_enumeration_cap(self, monkeypatch):
-        # an unreachable target forces the escalation to all d! permutations
-        monkeypatch.setattr(harmonic, "quotient_dimension", lambda d, k, caps: 10**6)
-        caps = replace(DEFAULT_CAPS, max_enumeration=factorial(4) - 1)
-        with pytest.raises(ResourceLimitError):
-            verify_block_surjectivity(4, 1, caps)
-        report = verify_block_surjectivity(4, 1, replace(caps, max_enumeration=factorial(4)))
-        assert report.escalated and not report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +535,60 @@ def test_pruned_kernel_inserts_fewer_rows(monkeypatch):
     assert len(basis) == closed_form_dimension(7, 2)
     # every landing (generator, multiplier) pair would be 10,206 rows
     assert len(inserted) == 3421
+
+
+def member_by_bounded_products(p, presentation, cap):
+    """Membership of p from every product m*g with deg(m*g) <= cap in Z_1..Z_d."""
+    ech = Echelon()
+    for g in presentation.generators:
+        for m in product(range(cap + 1), repeat=presentation.nvars):
+            if sum(m) + g.total_degree() <= cap:
+                ech.insert((z_monomial(m) * g).terms)
+    return ech.contains(p.terms)
+
+
+@st.composite
+def inhomogeneous_cases(draw):
+    d = draw(st.integers(1, 3))
+    low, high = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True).map(sorted))
+    gens = [draw(sparse_polys(d, [low])) + draw(sparse_polys(d, [high]))]
+    gens += draw(st.lists(sparse_polys(d, range(4)), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        gens.append(draw(sparse_polys(d, [0])))  # a constant generator
+    gens = draw(st.permutations(gens))
+    targets = draw(st.lists(sparse_polys(d, range(7)), min_size=1, max_size=3))
+    # multiples of the generators, so that members occur
+    targets += [g * draw(sparse_polys(d, range(3))) for g in gens]
+    # top-degree parts cancel here, so a certificate needs products of a
+    # higher degree than the target's own
+    a, b = gens[0], gens[-1]
+    targets.append(top_form(b) * a - top_form(a) * b)
+    return IdealPresentation(d, tuple(gens), "random"), targets
+
+
+def top_form(p):
+    """The terms of p of the highest total degree."""
+    t = p.total_degree()
+    return Poly({m: c for m, c in p.terms.items() if mono_degree(m) == t})
+
+
+@given(inhomogeneous_cases(), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_homogenized_membership_matches_bounded_products(case, cap):
+    pres, targets = case
+    expected = [member_by_bounded_products(p, pres, cap) for p in targets]
+    assert [ideal_membership(p, pres, cap) for p in targets] == expected
+
+
+def test_pruned_membership_inserts_fewer_rows(monkeypatch):
+    inserted = []
+    original = Echelon.insert
+
+    def counting(self, row):
+        inserted.append(1)
+        return original(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    assert verify_dcp_equality(6, 2).passed
+    # every product in the fourteen degree windows would be 2,802 rows
+    assert len(inserted) == 2098
