@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import add, sub
 
 from .errors import IndexOutOfRangeError
@@ -346,7 +346,11 @@ def perp_basis(
     generators, and (h - Z^m)*g_j in the span of the rows of g_j with larger
     multipliers, which came first.  The kept rows therefore span the same
     space, and the canonical kernel is unchanged.  The argument needs
-    neither homogeneity nor the pure powers in the presentation.
+    neither homogeneity nor the pure powers in the presentation.  A
+    generator whose multiplier-0 row is already in that span lies in the
+    earlier generators' ideal of the truncated box algebra, and so does
+    every Z^m*g_j: all its rows are skipped (for ik(d, k), Newton's
+    identities make e_(k+1)..e_d redundant this way).
     """
     caps = caps or DEFAULT_CAPS
     d = presentation.nvars
@@ -356,9 +360,14 @@ def perp_basis(
     weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(box_bound + 1)]
     ech = Echelon()
     for gen in presentation.generators:
+        terms = _z_exponents(gen, d)
+        # the multiplier-0 row: c * q! at column q, for the terms in the box
+        first = {col_index[q]: c * prod(map(factorial, q)) for q, c in terms if q in col_index}
+        if ech.contains(first):
+            continue
         skip = set(ech.leads)
         rows: dict = {}
-        for q, c in _z_exponents(gen, d):
+        for q, c in terms:
             for m in product(*(range(box_bound - e + 1) for e in q)):
                 mi = col_index[m]
                 if mi in skip:

@@ -20,17 +20,18 @@ columns found so far, in the order they were found, without building the
 RREF; a caller that fills an Echelon row by row can consult them to skip rows
 it knows to be dependent, and then read the canonical kernel with `kernel`.
 
-A linear operator enters as the images of its columns: `image_rows` turns
-"column i maps to the sparse vector images[i]" into one constraint row per
-output key, so the kernel of those rows is the kernel of the operator.
+`graded_kernels` fills one Echelon per block of a graded space on which
+commuting operators lower the grade, and uses the same pivot columns to skip
+the rows that a syzygy criterion shows to be dependent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 Row = dict  # dict[key, int], primitive
 
@@ -136,9 +137,17 @@ class Echelon:
         """Reduce a row against the stored pivot rows.
 
         The result has no entry in any pivot column; it is empty exactly
-        when the row lies in the span of the inserted rows.
+        when the row lies in the span of the inserted rows.  The row is
+        copied once, without its zeros; `int_row` clears denominators only
+        when a value is not an int, and the content is stripped at the end.
         """
-        return _eliminate(int_row(row), self._rows)
+        r = {}
+        for c, v in row.items():
+            if v:
+                if type(v) is not int:
+                    return _eliminate(int_row(row), self._rows)
+                r[c] = v
+        return _eliminate(r, self._rows)
 
     def insert(self, row: Mapping[int, object]) -> int | None:
         """Insert a row; returns its pivot column, or None if dependent."""
@@ -166,19 +175,6 @@ class Echelon:
         return _kernel(self.pivots, ncols)
 
 
-def image_rows(images: Iterable[Mapping[object, object]]) -> list[dict]:
-    """Constraint rows of the map sending column i to the sparse dict images[i].
-
-    One row per output key, in order of first appearance, mapping each
-    column index to that column's coefficient at the key.
-    """
-    rows: dict = {}
-    for i, image in enumerate(images):
-        for out, c in image.items():
-            rows.setdefault(out, {})[i] = c
-    return list(rows.values())
-
-
 def echelon_of(rows: Iterable[Mapping[int, object]]) -> Echelon:
     return Echelon().extend(rows)
 
@@ -204,6 +200,52 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
     # vectors are built, which keeps about 0.4 MB off the peak RSS of the
     # jet-invariant benchmark workload
     return _kernel(echelon_of(ordered).pivots, ncols)
+
+
+def graded_kernels(
+    sizes: Sequence[int], k: int, row: Callable[[int, int, int], Mapping[int, int]]
+) -> list[list[Row]]:
+    """Canonical joint kernels of commuting graded operators, block by block.
+
+    Block w of the space has sizes[w] columns, and the operators E_1..E_k
+    commute, with E_m mapping block w to block w - m.  The kernel of block w
+    is that of the rows E_m^T e_mu over the columns mu of the blocks w - m,
+    which row(m, w, mu) returns as dicts over block w's columns; the result
+    lists one `nullspace`-style canonical basis per block.
+
+    The rows of a block are inserted operator by operator, E_1 first, each
+    by descending mu, and the row of (m, mu) is skipped when mu is a pivot
+    column of block w - m's rows of E_1..E_(m-1) (the matrix form of
+    Faugere's F5 criterion).  Then some row vector h of that span has
+    smallest key mu, and up to scaling e_mu E_m = h E_m - (h - e_mu) E_m.
+    With h = sum_(l<m) u_l E_l, commuting gives h E_m = sum_(l<m) (u_l E_m)
+    E_l, a combination of block w's rows of the earlier operators, and
+    (h - e_mu) E_m combines rows of E_m at larger columns.  By induction on
+    m, and on mu from the largest column down, the kept rows span every
+    row, and the kernel is unchanged.  The argument holds in any row order;
+    descending mu is only the fastest one measured.  Only the pivot columns
+    of the last k blocks, with the rank reached before each operator, are
+    kept for this.
+    """
+    kernels: list[list[Row]] = []
+    history: dict = {}
+    for w, ncols in enumerate(sizes):
+        ech, ranks = Echelon(), []
+        for m in range(1, k + 1):
+            ranks.append(ech.rank)
+            if m > w:
+                continue
+            leads, low_ranks = history[w - m]
+            skip = set(islice(leads, low_ranks[m - 1]))
+            for mu in reversed(range(sizes[w - m])):
+                if mu not in skip:
+                    r = row(m, w, mu)
+                    if r:
+                        ech.insert(r)
+        kernels.append(ech.kernel(ncols))
+        history[w] = list(ech.leads), ranks
+        history.pop(w - k, None)
+    return kernels
 
 
 def _kernel(piv: dict, ncols: int) -> list[Row]:

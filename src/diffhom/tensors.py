@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import factorial
 
 from .errors import IndexOutOfRangeError
-from .linalg import image_rows, nullspace, rank_of
+from .linalg import nullspace, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
@@ -116,36 +116,15 @@ class Tensor:
         )
 
 
-def _apply_in_slots(out: dict, coords: dict, slots: tuple, columns) -> None:
-    """Add to out the operator applied in each of the given slots.
-
-    columns[a] lists the nonzero entries (r, M[r][a]) of column a of the
-    operator M; each coordinate is expanded through all the slots at once,
-    one entry of its column per slot.
-    """
-    for idx, c in coords.items():
-        picks = []
-        for s in slots:
-            column = columns[idx[s]]
-            if not column:
-                break  # M kills this coordinate; most do for the shift
-            picks.append(column)
-        else:
-            for entries in product(*picks):
-                key = list(idx)
-                v = c
-                for s, (r, m) in zip(slots, entries):
-                    key[s] = r
-                    v *= m
-                key = tuple(key)
-                out[key] = out.get(key, 0) + v
-
-
 def insertion_operator(t: Tensor, ell: int, matrix=None) -> Tensor:
     """Sum of the operator applied in ell distinct slots, ordered-tuple count.
 
-    Each unordered subset of ell slots contributes with multiplicity ell!.
-    The default operator is the canonical shift.
+    Each unordered subset of ell slots contributes with multiplicity ell!,
+    so the result is ell! * e_ell(J_1..J_d) applied to t, with J_s the
+    operator in slot s.  It is built slot by slot from the recurrence
+    e_l(J_1..J_s) = e_l(J_1..J_(s-1)) + J_s e_(l-1)(J_1..J_(s-1)), which
+    merges equal keys after every slot; only the levels l that can still
+    reach ell are kept.  The default operator is the canonical shift.
     """
     if not 1 <= ell <= t.d:
         raise IndexOutOfRangeError(f"insertion order {ell} outside 1..{t.d}")
@@ -155,11 +134,17 @@ def insertion_operator(t: Tensor, ell: int, matrix=None) -> Tensor:
         columns = [
             [(r, row[a]) for r, row in enumerate(matrix) if row[a]] for a in range(len(matrix))
         ]
-    total: dict = {}
-    for slots in combinations(range(t.d), ell):
-        _apply_in_slots(total, t.coords, slots, columns)
+    # level[l]: e_l of the slot operators seen so far, applied to t
+    level = [t.coords] + [{} for _ in range(ell)]
+    for s in range(t.d):
+        for l in range(min(ell, s + 1), max(0, ell - t.d + s), -1):
+            out = level[l]
+            for idx, c in level[l - 1].items():
+                for r, m in columns[idx[s]]:
+                    key = idx[:s] + (r,) + idx[s + 1 :]
+                    out[key] = out.get(key, 0) + c * m
     mult = factorial(ell)
-    return Tensor(t.k, t.d, {idx: mult * c for idx, c in total.items() if c})
+    return Tensor(t.k, t.d, {idx: mult * c for idx, c in level[ell].items() if c})
 
 
 def expand_one_parameter(t: Tensor, alpha: Fraction) -> Tensor:
@@ -238,15 +223,6 @@ def invariant_tensor_basis(
             [[(r, power[r][a]) for r in range(k + 1) if power[r][a]] for a in range(k + 1)]
         )
 
-    def image(idx: tuple) -> dict:
-        out: dict = {}
-        for m, by_entry in enumerate(lowering, start=1):
-            for s, a in enumerate(idx):
-                for r, c in by_entry[a]:
-                    key = (m, idx[:s] + (r,) + idx[s + 1 :])
-                    out[key] = out.get(key, 0) + c
-        return {key: c for key, c in out.items() if c}
-
     # Columns run in descending (grade, index) order, so each null space
     # vector's free column is its smallest key and the reversed vectors are
     # the reduced echelon basis over ascending (grade, index).
@@ -256,7 +232,16 @@ def invariant_tensor_basis(
         blocks.setdefault(sum(idx) if graded else 0, []).append(idx)
     basis: list[Tensor] = []
     for columns in blocks.values():
-        for vec in nullspace(image_rows(map(image, columns)), len(columns)):
+        # rows[m, key][ci]: the coefficient of key in p_m applied to the unit
+        # tensor at columns[ci]
+        rows: dict = {}
+        for ci, idx in enumerate(columns):
+            for m, by_entry in enumerate(lowering, start=1):
+                for s, a in enumerate(idx):
+                    for r, c in by_entry[a]:
+                        row = rows.setdefault((m, idx[:s] + (r,) + idx[s + 1 :]), {})
+                        row[ci] = row.get(ci, 0) + c
+        for vec in nullspace(rows.values(), len(columns)):
             basis.append(Tensor(k, d, {columns[col]: Fraction(c) for col, c in vec.items()}))
     basis.reverse()
     return basis

@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffhom.linalg import Echelon, echelon_of, image_rows, int_row, nullspace
+from diffhom.linalg import Echelon, echelon_of, graded_kernels, int_row, nullspace
 
 
 def test_int_row_clears_denominators():
@@ -163,13 +163,6 @@ def test_against_dense_oracle():
                 assert Fraction(sparse.get(c, 0), lead) == dense_row[c]
 
 
-def test_image_rows_transpose_column_images():
-    # columns 0, 1, 2 map to a, a + b, b: the kernel is (1, -1, 1)
-    rows = image_rows([{"a": 1}, {"a": 1, "b": 1}, {"b": 1}])
-    assert rows == [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    assert nullspace(rows, 3) == [{2: 1, 0: 1, 1: -1}]
-
-
 def test_tuple_keys_pivot_in_key_order():
     ech = echelon_of([{(1, (0, 1)): 2, (0, (1, 0)): 4}, {(1, (0, 1)): 1}])
     assert ech.pivots == {(0, (1, 0)): {(0, (1, 0)): 1}, (1, (0, 1)): {(1, (0, 1)): 1}}
@@ -254,3 +247,48 @@ def test_lazy_echelon_matches_dense_oracle_between_operations(ops, key_kind):
             for row in inserted:
                 assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
     assert ech.pivots == _oracle_pivots(inserted, key)
+
+
+@st.composite
+def commuting_graded_family(draw):
+    """Block sizes, a random integer map A lowering the grade by one, and k.
+
+    The operators are the powers E_m = A^m, m = 1..k, which commute;
+    power[m][w] is the matrix of A^m from block w to block w - m.
+    """
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    entries = st.integers(-2, 2)
+    power = [None, [None]]
+    for w in range(1, len(sizes)):
+        power[1].append([[draw(entries) for _ in range(sizes[w])] for _ in range(sizes[w - 1])])
+    k = draw(st.integers(0, len(sizes)))
+    for m in range(2, k + 1):
+        power.append([None] * m)
+        for w in range(m, len(sizes)):
+            step, rest = power[1][w - m + 1], power[m - 1][w]
+            inner = range(sizes[w - m + 1])
+            power[m].append(
+                [
+                    [sum(step[i][t] * rest[t][j] for t in inner) for j in range(sizes[w])]
+                    for i in range(sizes[w - m])
+                ]
+            )
+    return sizes, power, k
+
+
+@given(commuting_graded_family())
+@settings(max_examples=150, deadline=None)
+def test_graded_kernels_criterion_keeps_every_kernel(family):
+    sizes, power, k = family
+
+    def row(m, w, mu):
+        return dict(enumerate(power[m][w][mu]))
+
+    expected = [
+        nullspace(
+            [row(m, w, mu) for m in range(1, min(k, w) + 1) for mu in range(sizes[w - m])],
+            ncols,
+        )
+        for w, ncols in enumerate(sizes)
+    ]
+    assert graded_kernels(sizes, k, row) == expected

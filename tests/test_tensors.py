@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from diffhom.errors import IndexOutOfRangeError
 from diffhom.harmonic import apply_poly_operator, elementary_symmetric
 from diffhom.jets import JetContext, is_diff_homogeneous
-from diffhom.linalg import echelon_of, image_rows, nullspace, rank_of
+from diffhom.linalg import echelon_of, nullspace, rank_of
 from diffhom.polynomials import Poly, jet_var, slot_var, z_var
 from diffhom.tensors import (
     NilpotentModel,
@@ -92,6 +92,27 @@ class TestInsertion:
             for ell in range(1, d + 1):
                 rhs = rhs.add(insertion_operator(t, ell).scale(alpha**ell / factorial(ell)))
             assert lhs == rhs
+
+    def test_matrix_matches_the_sum_over_ordered_slot_tuples(self):
+        # the definition: M applied in each ordered tuple of ell distinct slots
+        rng = random.Random(6)
+        for _ in range(30):
+            k, d = rng.randint(1, 2), rng.randint(1, 4)
+            t = random_tensor(rng, k, d)
+            matrix = [[rng.randint(-2, 2) for _ in range(k + 1)] for _ in range(k + 1)]
+            for ell in range(1, d + 1):
+                total = Tensor(k, d, {})
+                for slots in permutations(range(d), ell):
+                    coords = t.coords
+                    for s in slots:
+                        out = {}
+                        for idx, c in coords.items():
+                            for r in range(k + 1):
+                                key = idx[:s] + (r,) + idx[s + 1 :]
+                                out[key] = out.get(key, 0) + matrix[r][idx[s]] * c
+                        coords = out
+                    total = total.add(Tensor.make(k, d, coords))
+                assert insertion_operator(t, ell, matrix) == total
 
 
 class TestInvariantBasis:
@@ -202,6 +223,15 @@ def _invert(m):
     return [row[n:] for row in aug]
 
 
+def transpose(images):
+    """Constraint rows of the map sending column i to the sparse dict images[i]."""
+    rows = {}
+    for i, image in enumerate(images):
+        for out, c in image.items():
+            rows.setdefault(out, {})[i] = c
+    return list(rows.values())
+
+
 def _iterated_insertion_basis(k, d, matrix=None):
     """Invariant basis by intersecting the insertion-operator kernels in turn.
 
@@ -218,7 +248,7 @@ def _iterated_insertion_basis(k, d, matrix=None):
         for block, vectors in blocks.items():
             images = [insertion_operator(Tensor(k, d, vec), ell, matrix).coords for vec in vectors]
             recombined = []
-            for combo in nullspace(image_rows(images), len(vectors)):
+            for combo in nullspace(transpose(images), len(vectors)):
                 acc = {}
                 for ci, weight in combo.items():
                     for idx, c in vectors[ci].items():
