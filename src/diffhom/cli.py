@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (all requested checks pass), 1 when a verification
 fails, 2 for configuration or I/O problems.  Resource-cap skips do not fail
-a run.  Caps can be overridden with DIFFHOM_* environment variables (see
-resources.py) on top of any configuration file.
+a run, except under `verify-all --strict`.  Caps can be overridden with
+DIFFHOM_* environment variables (see resources.py) on top of any
+configuration file.
 """
 
 from __future__ import annotations
@@ -254,6 +255,10 @@ def _cmd_verify_all(args) -> int:
     sys.stdout.write(rendered)
     if args.out is not None:
         _write(args.out, export_json(report, args.include_timing))
+    skipped = report.counts["skipped"]
+    if args.strict and skipped:
+        print(f"strict: {skipped} check(s) skipped at a resource cap", file=sys.stderr)
+        return 1
     return report.exit_code
 
 
@@ -318,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="REPORT.JSON")
     p.add_argument("--format", choices=("text", "json", "csv"), default=None)
     p.add_argument("--include-timing", action="store_true")
+    p.add_argument(
+        "--strict", action="store_true", help="fail (exit 1) when a check is skipped at a resource cap"
+    )
     p.set_defaults(fn=_cmd_verify_all)
 
     return parser

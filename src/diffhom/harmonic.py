@@ -45,7 +45,6 @@ of each dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, factorial, prod
 from operator import add, sub
@@ -55,6 +54,7 @@ from .linalg import Echelon, rank_of
 from .polynomials import (
     Poly,
     Z_VAR,
+    _coeff,
     compositions,
     determinant,
     falling_factorial,
@@ -272,7 +272,7 @@ def _z_exponents(p: Poly, d: int) -> list:
             if v.family != Z_VAR or not 1 <= v.i <= d:
                 raise IndexOutOfRangeError(f"{v.render()} is not Z_1..Z_{d}")
             exp[v.i - 1] = e
-        out.append((tuple(exp), c.numerator if c.denominator == 1 else c))
+        out.append((tuple(exp), _coeff(c)))
     return out
 
 
@@ -327,14 +327,16 @@ def perp_basis(
     generator is then applied as a differential operator on box monomials
     and the exact null space is returned as polynomials, echelon-ordered.
 
-    Only the pairs that land are visited: a generator term c*Z^q sends the
-    box monomial Z^(m+q) to c * prod falling_factorial(m_i+q_i, q_i) * Z^m,
-    so each term walks the box shifted by q (m_i <= box_bound - q_i), with
-    the weights read from one table of falling factorials up to box_bound.
-    Row (generator, m)
-    collects those entries; it is (1/m!) * (Z^m*g mod Z_i^(box_bound+1))
-    scaled by b! at column b, so the rows of the generators before g span
-    an ideal of the truncated box algebra.
+    A generator term c*Z^q sends the box monomial Z^(m+q) to
+    c * prod falling_factorial(m_i+q_i, q_i) * Z^m, so it reaches the
+    multipliers m of the box shifted by q (m_i <= box_bound - q_i), with the
+    weights read from one table of falling factorials up to box_bound.  Row
+    (generator, m) collects those entries; it is
+    (1/m!) * (Z^m*g mod Z_i^(box_bound+1)) scaled by b! at column b, so the
+    rows of the generators before g span an ideal of the truncated box
+    algebra.  The multipliers a generator reaches are collected first and
+    the skipped ones (below) dropped once each; only the kept rows then walk
+    the generator's terms.
 
     Most of these rows are dependent, and a syzygy criterion (the matrix
     form of Faugere's F5) skips them before elimination.  The generators are
@@ -365,25 +367,24 @@ def perp_basis(
         first = {col_index[q]: c * prod(map(factorial, q)) for q, c in terms if q in col_index}
         if ech.contains(first):
             continue
-        skip = set(ech.leads)
-        rows: dict = {}
-        for q, c in terms:
-            for m in product(*(range(box_bound - e + 1) for e in q)):
-                mi = col_index[m]
-                if mi in skip:
-                    continue
-                b = tuple(map(add, m, q))
-                value = c
-                for e, f in zip(b, q):
-                    if f:
-                        value *= weight[e][f]
-                if mi not in rows:
-                    rows[mi] = {}
-                rows[mi][col_index[b]] = value
-        for mi in sorted(rows, reverse=True):
-            ech.insert(rows[mi])
+        reached: set = set()
+        for q, _ in terms:
+            shifted = product(*(range(box_bound - e + 1) for e in q))
+            reached.update(map(col_index.__getitem__, shifted))
+        for mi in sorted(reached.difference(ech.leads), reverse=True):
+            m = cols[mi]
+            row = {}
+            for q, c in terms:
+                bi = col_index.get(tuple(map(add, m, q)))
+                if bi is not None:
+                    value = c
+                    for e, f in zip(cols[bi], q):
+                        if f:
+                            value *= weight[e][f]
+                    row[bi] = value
+            ech.insert(row)
     return [
-        Poly({_z_monomial(cols[ci]): Fraction(val) for ci, val in vec.items()})
+        Poly({_z_monomial(cols[ci]): val for ci, val in vec.items()})
         for vec in ech.kernel(len(cols))
     ]
 

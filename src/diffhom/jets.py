@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
@@ -78,7 +77,7 @@ def leibniz_image(i: int, j: int, ctx: JetContext) -> Poly:
     terms = {}
     for s in range(j + 1):
         mono = tuple(sorted(((series_coeff(j - s), 1), (jet_var(i, s), 1))))
-        terms[mono] = Fraction(comb(j, s) * factorial(j - s))
+        terms[mono] = comb(j, s) * factorial(j - s)
     return Poly(terms)
 
 
@@ -181,7 +180,7 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
     basis = InvariantBasis(ctx)
     for w, kernel in enumerate(graded_kernels(list(map(len, columns)), ctx.k, row)):
         for vi, vec in enumerate(kernel):
-            basis.elements.append(Poly({columns[w][ci]: Fraction(val) for ci, val in vec.items()}))
+            basis.elements.append(Poly({columns[w][ci]: val for ci, val in vec.items()}))
             basis.provenance.append(f"w{w}/v{vi}")
     return basis
 

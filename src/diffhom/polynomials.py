@@ -7,7 +7,16 @@ truncated-series coefficients l_m at the same time:
   VarId = (family, i, j)     with a fixed total order: family tag first,
                              then the two indices lexicographically.
   Monomial = tuple of (VarId, exponent) pairs, sorted, no zero exponents.
-  Poly.terms = dict mapping Monomial -> nonzero Fraction.
+  Poly.terms = dict mapping Monomial -> nonzero coefficient, int first.
+
+Coefficients are stored int first: an integer stays an `int`, an integral
+`Fraction` is stored as its `int` numerator, and only a true fraction stays a
+`Fraction`.  Almost every coefficient the paper's identities produce is an
+integer, and an `int` add or multiply costs a small fraction of the
+`Fraction` one, so integer inputs never build a `Fraction` at all.  Since
+`2 == Fraction(2)`, with equal hashes and equal `str`, the two forms compare,
+hash and render alike; ring operations on mixed inputs may leave an integral
+`Fraction` in place, which is equally correct.
 
 The zero polynomial has an empty term map and equal polynomials have equal
 term maps, so `==` is exact identity testing.  Coefficients are arbitrary
@@ -122,16 +131,35 @@ def render_terms(terms) -> str:
     return "".join(pieces) or "0"
 
 
-def _coeff(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _coeff(value) -> int | Fraction:
+    """The int-first form of an exact coefficient (see the module docstring)."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _add_scaled(out: dict, terms: Mapping, c) -> None:
+    """out += c * terms in place, dropping the monomials that cancel."""
+    for m, x in terms.items():
+        s = out.get(m, 0) + c * x
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
 
 
 class Poly:
-    """A sparse exact-rational polynomial in tagged variables."""
+    """A sparse exact-rational polynomial in tagged variables.
+
+    Coefficients are int first: the constructors keep integers as `int` and
+    only true fractions as `Fraction`, so integer arithmetic stays in `int`.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
         if terms is None:
             self.terms = {}
         else:
@@ -145,12 +173,11 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        c = _coeff(c)
-        return Poly({(): c}) if c else Poly()
+        return Poly({(): c})
 
     @staticmethod
     def variable(v: VarId) -> "Poly":
-        return Poly({((v, 1),): Fraction(1)})
+        return _wrap({((v, 1),): 1})
 
     @staticmethod
     def monomial(pairs: Iterable[tuple[VarId, int]], c=1) -> "Poly":
@@ -158,28 +185,18 @@ class Poly:
         for v, e in pairs:
             if e:
                 exps[v] = exps.get(v, 0) + e
-        return Poly({tuple(sorted(exps.items())): _coeff(c)})
+        return Poly({tuple(sorted(exps.items())): c})
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        _add_scaled(out, other.terms, 1)
         return _wrap(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        _add_scaled(out, other.terms, -1)
         return _wrap(out)
 
     def __neg__(self) -> "Poly":
@@ -187,7 +204,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out: dict[Monomial, Fraction] = {}
+            out: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     m = mono_mul(m1, m2)
@@ -251,7 +268,7 @@ class Poly:
 
     def partial_derivative(self, v: VarId) -> "Poly":
         """Formal partial derivative with respect to v."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict = {}
         for m, c in self.terms.items():
             exps = dict(m)
             e = exps.get(v, 0)
@@ -274,19 +291,25 @@ class Poly:
 
         The map must cover every variable occurring in the polynomial;
         a missing variable raises UnmappedVariableError rather than being
-        treated as the identity.
+        treated as the identity.  Each power image**e is built once per call,
+        and the terms accumulate in one dict.
         """
-        result = Poly()
+        powers: dict[VarId, list[Poly]] = {}  # v -> [unused, image, image**2, ...]
+        out: dict = {}
         for m, c in self.terms.items():
-            term = Poly.constant(c)
+            term = None
             for v, e in m:
-                image = mapping.get(v)
-                if image is None:
-                    raise UnmappedVariableError(v)
-                for _ in range(e):
-                    term = term * image
-            result = result + term
-        return result
+                ladder = powers.get(v)
+                if ladder is None:
+                    image = mapping.get(v)
+                    if image is None:
+                        raise UnmappedVariableError(v)
+                    ladder = powers[v] = [None, image]
+                while len(ladder) <= e:
+                    ladder.append(ladder[-1] * ladder[1])
+                term = ladder[e] if term is None else term * ladder[e]
+            _add_scaled(out, {(): 1} if term is None else term.terms, c)
+        return _wrap(out)
 
     def coefficient_of(self, v: VarId) -> "Poly":
         """The polynomial q with p = q*v + (terms not involving v).
@@ -294,7 +317,7 @@ class Poly:
         Only defined when p has degree at most one in v (the multilinear
         use case); otherwise NotLinearError is raised.
         """
-        out: dict[Monomial, Fraction] = {}
+        out: dict = {}
         for m, c in self.terms.items():
             exps = dict(m)
             e = exps.get(v, 0)
@@ -365,16 +388,14 @@ def determinant(matrix: Sequence[Sequence[Poly]]) -> Poly:
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        total = Poly()
+        total: dict = {}
         for pos, c in enumerate(sorted(cols)):
             entry = matrix[row_idx][c]
             if entry.is_zero:
                 continue
-            minor = expand(cols - {c})
-            contrib = entry * minor
-            total = total + (contrib if pos % 2 == 0 else -contrib)
-        memo[cols] = total
-        return total
+            _add_scaled(total, (entry * expand(cols - {c})).terms, -1 if pos % 2 else 1)
+        memo[cols] = result = _wrap(total)
+        return result
 
     return expand(frozenset(range(n)))
 

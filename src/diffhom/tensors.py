@@ -34,6 +34,7 @@ from .linalg import nullspace, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
+    _coeff,
     determinant,
     falling_factorial,
     jet_var,
@@ -59,17 +60,25 @@ class NilpotentModel:
 
 @dataclass
 class Tensor:
-    """Sparse element of the d-fold tensor power of the order-k model space."""
+    """Sparse element of the d-fold tensor power of the order-k model space.
+
+    Coordinates follow the int-first rule of `Poly` coefficients, applied on
+    construction: integers are stored as `int` and only true fractions as
+    `Fraction`, so integer tensors never pay for `Fraction` arithmetic.
+    """
 
     k: int
     d: int
     coords: dict
 
+    def __post_init__(self):
+        self.coords = {idx: _coeff(c) for idx, c in self.coords.items()}
+
     @staticmethod
     def make(k: int, d: int, coords: dict) -> "Tensor":
+        """A tensor from validated coordinates, zeros dropped."""
         clean = {}
         for idx, c in coords.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
             if not c:
                 continue
             if len(idx) != d or any(a < 0 or a > k for a in idx):
@@ -79,7 +88,7 @@ class Tensor:
 
     @staticmethod
     def unit(k: int, d: int, idx: tuple) -> "Tensor":
-        return Tensor.make(k, d, {tuple(idx): Fraction(1)})
+        return Tensor.make(k, d, {tuple(idx): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -96,7 +105,6 @@ class Tensor:
         return Tensor(self.k, self.d, out)
 
     def scale(self, c) -> "Tensor":
-        c = c if isinstance(c, Fraction) else Fraction(c)
         if not c:
             return Tensor(self.k, self.d, {})
         return Tensor(self.k, self.d, {idx: c * v for idx, v in self.coords.items()})
@@ -242,7 +250,7 @@ def invariant_tensor_basis(
                         row = rows.setdefault((m, idx[:s] + (r,) + idx[s + 1 :]), {})
                         row[ci] = row.get(ci, 0) + c
         for vec in nullspace(rows.values(), len(columns)):
-            basis.append(Tensor(k, d, {columns[col]: Fraction(c) for col, c in vec.items()}))
+            basis.append(Tensor(k, d, {columns[col]: c for col, c in vec.items()}))
     basis.reverse()
     return basis
 

@@ -200,6 +200,26 @@ def test_verify_all_env_caps_skip(capsys, tmp_path, monkeypatch):
     assert "skipped" in out
 
 
+def test_verify_all_strict_fails_on_a_skip(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_values": [2], "caps": {"max_box": 1}}))
+    code, out, err = run_cli(capsys, "verify-all", "--config", str(cfg))
+    assert code == 0
+    assert "0 failed" in out and " 0 skipped" not in out
+    code, strict_out, err = run_cli(capsys, "verify-all", "--config", str(cfg), "--strict")
+    assert code == 1
+    assert strict_out == out
+    assert len(err.splitlines()) == 1 and "skipped" in err
+
+
+def test_verify_all_strict_passes_without_skips(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_values": [2]}))
+    code, out, _ = run_cli(capsys, "verify-all", "--config", str(cfg), "--strict")
+    assert code == 0
+    assert " 0 skipped" in out
+
+
 def test_verify_all_bad_config(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"d_values": "two"}')
@@ -398,9 +418,9 @@ config_texts = st.one_of(
 )
 
 
-@given(config_texts)
+@given(config_texts, st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_verify_all_config_fuzz_exits_cleanly(text):
+def test_verify_all_config_fuzz_exits_cleanly(text, strict):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
@@ -409,6 +429,6 @@ def test_verify_all_config_fuzz_exits_cleanly(text):
         else:
             cfg.write_text(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify-all", "--config", str(cfg)])
+            code = main(["verify-all", "--config", str(cfg)] + ["--strict"] * strict)
     assert code in (0, 1, 2), (text, err.getvalue())
     assert "Traceback" not in err.getvalue()

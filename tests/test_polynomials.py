@@ -230,3 +230,183 @@ def test_compositions_are_all_tuples_in_lex_order(total, parts):
     out = list(compositions(total, parts))
     assert out == [t for t in product(range(total + 1), repeat=parts) if sum(t) == total]
     assert len(out) == comb(total + parts - 1, parts - 1)
+
+
+# -- int-first coefficients against a Fraction-only reference ------------------
+#
+# The reference below stores every coefficient as a Fraction and implements
+# each operation from its definition, independently of polynomials.py;
+# substitution is the term-by-term product the library used to run.
+
+def ref_mono(pairs):
+    exps = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = ref_mono(m1 + m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, v):
+    out = {}
+    for m, c in a.items():
+        e = dict(m).get(v, 0)
+        if e:
+            low = ref_mono([(w, f - (w == v)) for w, f in m])
+            out[low] = out.get(low, Fraction(0)) + c * e
+    return ref_clean(out)
+
+
+def ref_substitute(a, mapping):
+    out = {}
+    for m, c in a.items():
+        term = {(): c}
+        for v, e in m:
+            for _ in range(e):
+                term = ref_mul(term, mapping[v])
+        out = ref_add(out, term)
+    return out
+
+
+def ref_determinant(matrix):
+    n = len(matrix)
+    out = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = {(): Fraction(-1) ** inversions}
+        for r, c in enumerate(perm):
+            term = ref_mul(term, matrix[r][c])
+        out = ref_add(out, term)
+    return out
+
+
+def as_ref(p):
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+int_coefficients = st.integers(-6, 6)
+mixed_coefficients = st.one_of(
+    int_coefficients,
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    # an integral Fraction, which the library stores as an int
+    int_coefficients.map(Fraction),
+)
+
+
+def term_lists(coefficient):
+    """Up to four (monomial, coefficient) pairs; exponents reach 3 per variable."""
+    pairs = st.lists(st.tuples(st.sampled_from(VARIABLES), st.integers(1, 3)), max_size=2)
+    return st.lists(st.tuples(pairs, coefficient), max_size=4)
+
+
+def from_terms(terms):
+    """The polynomial (built through the Poly constructor) and its reference."""
+    raw = {}
+    for pairs, c in terms:
+        m = ref_mono(pairs)
+        raw[m] = raw.get(m, 0) + c
+    return Poly(raw), ref_clean({m: Fraction(c) for m, c in raw.items()})
+
+
+def coefficient_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+@given(
+    term_lists(mixed_coefficients),
+    term_lists(mixed_coefficients),
+    st.sampled_from(VARIABLES),
+    st.integers(0, 3),
+)
+@settings(max_examples=80)
+def test_mixed_coefficients_match_the_fraction_reference(ta, tb, v, n):
+    (a, ra), (b, rb) = from_terms(ta), from_terms(tb)
+    assert as_ref(a) == ra
+    assert as_ref(a + b) == ref_add(ra, rb)
+    assert as_ref(a - b) == ref_add(ra, rb, -1)
+    assert as_ref(a * b) == ref_mul(ra, rb)
+    assert as_ref(a**n) == ref_pow(ra, n)
+    assert as_ref(a.partial_derivative(v)) == ref_derivative(ra, v)
+    assert all(type(c) is int or c.denominator > 1 for c in a.terms.values())
+
+
+@given(
+    term_lists(mixed_coefficients),
+    st.lists(term_lists(mixed_coefficients), min_size=len(VARIABLES), max_size=len(VARIABLES)),
+)
+@settings(max_examples=40)
+def test_substitution_matches_the_term_by_term_product(ta, images):
+    a, ra = from_terms(ta)
+    pairs = [from_terms(t) for t in images]
+    mapping = {v: p for v, (p, _) in zip(VARIABLES, pairs)}
+    ref_mapping = {v: r for v, (_, r) in zip(VARIABLES, pairs)}
+    assert as_ref(a.substitute(mapping)) == ref_substitute(ra, ref_mapping)
+
+
+square_entries = st.integers(1, 3).flatmap(
+    lambda n: st.lists(term_lists(mixed_coefficients), min_size=n * n, max_size=n * n)
+)
+
+
+@given(square_entries)
+@settings(max_examples=30)
+def test_determinant_matches_the_permutation_expansion(entries):
+    n = round(len(entries) ** 0.5)
+    built = [from_terms(t) for t in entries]
+    matrix = [[built[n * r + c][0] for c in range(n)] for r in range(n)]
+    ref = [[built[n * r + c][1] for c in range(n)] for r in range(n)]
+    assert as_ref(determinant(matrix)) == ref_determinant(ref)
+
+
+@given(
+    term_lists(int_coefficients),
+    term_lists(int_coefficients),
+    st.lists(term_lists(int_coefficients), min_size=len(VARIABLES), max_size=len(VARIABLES)),
+    st.sampled_from(VARIABLES),
+)
+@settings(max_examples=40)
+def test_integer_inputs_give_int_coefficients(ta, tb, images, v):
+    """The speedup rests on this: integer arithmetic never builds a Fraction."""
+    (a, _), (b, _) = from_terms(ta), from_terms(tb)
+    mapping = {w: from_terms(t)[0] for w, t in zip(VARIABLES, images)}
+    results = [
+        a,
+        a + b,
+        a - b,
+        a * b,
+        a**3,
+        a.scale(Fraction(6, 3)),
+        a.partial_derivative(v),
+        a.substitute(mapping),
+        determinant([[a, b], [mapping[v], a]]),
+        Poly.constant(Fraction(4, 2)),
+        Poly.monomial([(v, 2)], Fraction(-3, 1)),
+        Poly.variable(v),
+    ]
+    for p in results:
+        assert coefficient_types(p) <= {int}, p
