@@ -12,8 +12,12 @@ Tensors are stored sparsely in the f-basis: coords maps an exponent tuple
 the Lie algebra: with J_s the shift in slot s, the insertion operators are
 ell! * e_ell(J_1..J_d), and since the J_s commute, Newton's identities over
 Q give the same joint kernel for the power sums p_m = sum_s J_s^m.  Each p_m
-lowers the total grade sum(a_i) by m, so the kernel is one null space of
-power-sum rows per grade, and J^(k+1) = 0 leaves only m <= min(k, d).
+lowers the total grade sum(a_i) by m, and J^(k+1) = 0 leaves only
+m <= min(k, d).  The p_m commute, as the jet derivations E_m do, so the
+kernel comes from the same engine, `linalg.graded_kernels`: one null space
+of power-sum rows per grade, with the rows its syzygy criterion shows to be
+dependent skipped.  For (k,d) = (4,5) it keeps 4,999 of the 11,200 rows,
+1,994 of them still dependent, where every row would give 8,195.
 
 Two translations connect tensors to polynomials: `to_harmonic` maps the
 f-basis to monomials in auxiliary Z variables (turning insertion operators
@@ -30,7 +34,7 @@ from itertools import product
 from math import factorial
 
 from .errors import IndexOutOfRangeError
-from .linalg import nullspace, rank_of
+from .linalg import graded_kernels, nullspace, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
@@ -187,13 +191,16 @@ def invariant_tensor_basis(
     operator M acting in slot s.  The J_s commute, so by Newton's identities
     over Q the elementary symmetric functions e_1..e_d and the power sums
     p_m = sum_s J_s^m (m = 1..d) generate the same ideal, and the two
-    operator sets have the same joint kernel.  That kernel is taken as one
-    null space per block of the box: each unit column contributes
-    (M^m)[r][a_s] to the row of p_m at the index with slot s set to r.  For
-    the canonical shift J^m lowers the grade (coordinate sum) by m, so the
-    grades are the blocks and only m <= min(k, d) gives rows; an explicit
-    operator matrix (e.g. a conjugated shift) need not respect the grading,
-    so the whole box is one block.
+    operator sets have the same joint kernel.  For the canonical shift J^m
+    lowers the grade (coordinate sum) by m and only m <= min(k, d) gives
+    rows, so the grades are the blocks of `linalg.graded_kernels`, which
+    skips the rows its syzygy criterion shows to be dependent (see
+    `_shift_basis`).  An explicit operator matrix (e.g. a conjugated shift)
+    need not respect the grading, so the whole box is one block, and its
+    kernel is one null space of every power-sum row: each unit column
+    contributes (M^m)[r][a_s] to the row of p_m at the index with slot s
+    set to r.  Passing the shift itself as a matrix takes this ungraded
+    route, which the tests hold the graded one against.
 
     The returned basis is the reduced echelon basis over the box
     coordinates ordered by (grade, index tuple): deterministic and, for
@@ -203,20 +210,21 @@ def invariant_tensor_basis(
     is primitive, positive at its free column f, zero at the other free
     columns, and nonzero elsewhere only at pivot columns before f, which
     carry larger keys.  Read in ascending key order, f is its leading key,
-    so the vectors of all blocks, reversed, are that unique reduced basis.
+    so each block's vectors, reversed, with the blocks in ascending grade,
+    are that unique reduced basis.
 
-    Two loops stay apart from the slot-operator routine of
-    `insertion_operator` on purpose: the `lowering` table below, because
+    Three loops stay apart from the slot-operator routine of
+    `insertion_operator` on purpose: the `lowering` table below, which
+    serves `matrix=` only, and the raising rows of `_shift_basis`, because
     `insertion_operator` is the oracle these power-sum rows are tested
     against, and `expand_one_parameter`, the independent side of the
     one-parameter-expansion property check.
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
+    if matrix is None:
+        return _shift_basis(k, d)
 
-    graded = matrix is None
-    if graded:
-        matrix = [[a if r == a - 1 else 0 for a in range(k + 1)] for r in range(k + 1)]
     # lowering[m-1][a]: the nonzero entries (r, (M^m)[r][a]) of column a of
     # M^m; built here, not by insertion_operator, which is tested against it
     lowering = []
@@ -230,28 +238,50 @@ def invariant_tensor_basis(
         lowering.append(
             [[(r, power[r][a]) for r in range(k + 1) if power[r][a]] for a in range(k + 1)]
         )
+    # One block, the whole box, with columns in descending (grade, index)
+    # order; rows[m, key][ci] is the coefficient of key in p_m applied to
+    # the unit tensor at columns[ci].
+    columns = sorted(product(range(k + 1), repeat=d), key=lambda t: (sum(t), t), reverse=True)
+    rows: dict = {}
+    for ci, idx in enumerate(columns):
+        for m, by_entry in enumerate(lowering, start=1):
+            for s, a in enumerate(idx):
+                for r, c in by_entry[a]:
+                    row = rows.setdefault((m, idx[:s] + (r,) + idx[s + 1 :]), {})
+                    row[ci] = row.get(ci, 0) + c
+    kernel = nullspace(rows.values(), len(columns))
+    return [Tensor(k, d, {columns[col]: c for col, c in vec.items()}) for vec in reversed(kernel)]
 
-    # Columns run in descending (grade, index) order, so each null space
-    # vector's free column is its smallest key and the reversed vectors are
-    # the reduced echelon basis over ascending (grade, index).
-    blocks: dict[int, list[tuple]] = {}
-    box = sorted(product(range(k + 1), repeat=d), key=lambda t: (sum(t), t), reverse=True)
-    for idx in box:
-        blocks.setdefault(sum(idx) if graded else 0, []).append(idx)
+
+def _shift_basis(k: int, d: int) -> list[Tensor]:
+    """The canonical shift's invariant basis, grade by grade.
+
+    The grades 0..k*d are the blocks of `graded_kernels`, and p_1..p_min(k,d)
+    its commuting operators.  The row of p_m at an index kappa of grade
+    w - m is the coefficient of kappa in p_m applied to each column of grade
+    w: the columns are kappa with one slot a raised to a + m <= k, with
+    weight (a+m)!/a!, the entry of J^m.
+    """
+    blocks: list[list[tuple]] = [[] for _ in range(k * d + 1)]
+    # product over descending digits lists each grade in descending index order
+    for idx in product(range(k, -1, -1), repeat=d):
+        blocks[sum(idx)].append(idx)
+    index = [{idx: ci for ci, idx in enumerate(columns)} for columns in blocks]
+    # rise[a][m] = (a+m)!/a!, the entry of J^m from f_(a+m) to f_a
+    rise = [[factorial(a + m) // factorial(a) for m in range(k + 1 - a)] for a in range(k + 1)]
+
+    def row(m: int, w: int, mu: int) -> dict:
+        kappa, col, out = blocks[w - m][mu], index[w], {}
+        for s, a in enumerate(kappa):
+            if a + m <= k:
+                out[col[kappa[:s] + (a + m,) + kappa[s + 1 :]]] = rise[a][m]
+        return out
+
     basis: list[Tensor] = []
-    for columns in blocks.values():
-        # rows[m, key][ci]: the coefficient of key in p_m applied to the unit
-        # tensor at columns[ci]
-        rows: dict = {}
-        for ci, idx in enumerate(columns):
-            for m, by_entry in enumerate(lowering, start=1):
-                for s, a in enumerate(idx):
-                    for r, c in by_entry[a]:
-                        row = rows.setdefault((m, idx[:s] + (r,) + idx[s + 1 :]), {})
-                        row[ci] = row.get(ci, 0) + c
-        for vec in nullspace(rows.values(), len(columns)):
-            basis.append(Tensor(k, d, {columns[col]: c for col, c in vec.items()}))
-    basis.reverse()
+    for columns, kernel in zip(blocks, graded_kernels(list(map(len, blocks)), min(k, d), row)):
+        basis.extend(
+            Tensor(k, d, {columns[col]: c for col, c in vec.items()}) for vec in reversed(kernel)
+        )
     return basis
 
 

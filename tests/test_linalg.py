@@ -291,4 +291,18 @@ def test_graded_kernels_criterion_keeps_every_kernel(family):
         )
         for w, ncols in enumerate(sizes)
     ]
-    assert graded_kernels(sizes, k, row) == expected
+    requested = []
+    # leads[w][mu]: the operators whose returned rows in block w start at mu
+    leads = [{} for _ in sizes]
+
+    def recording(m, w, mu):
+        requested.append((m, w, mu))
+        r = row(m, w, mu)
+        nonzero = [c for c, v in r.items() if v]
+        if nonzero:
+            leads[w].setdefault(min(nonzero), set()).add(m)
+        return r
+
+    assert graded_kernels(sizes, k, recording) == expected
+    for m, w, mu in requested:
+        assert not any(l < m for l in leads[w - m].get(mu, ())), (m, w, mu)

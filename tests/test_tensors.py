@@ -12,7 +12,7 @@ import pytest
 from diffhom.errors import IndexOutOfRangeError
 from diffhom.harmonic import apply_poly_operator, elementary_symmetric
 from diffhom.jets import JetContext, is_diff_homogeneous
-from diffhom.linalg import echelon_of, nullspace, rank_of
+from diffhom.linalg import Echelon, echelon_of, nullspace, rank_of
 from diffhom.polynomials import Poly, jet_var, slot_var, z_var
 from diffhom.tensors import (
     NilpotentModel,
@@ -322,6 +322,35 @@ class TestCanonicalForm:
             for key in sorted(ech.pivots)
         ]
         assert [t.render() for t in basis] == expected
+
+
+class TestGradedRouteAgainstWholeBox:
+    """The graded shift path against the ungraded route with every row.
+
+    Passing the shift as an explicit matrix takes the whole box as one block
+    and keeps every power-sum row, with no syzygy criterion; both must
+    render the same basis, on boxes beyond the insertion oracle's range.
+    """
+
+    @pytest.mark.parametrize("k,d", [(4, 5), (2, 7), (3, 5), (5, 3), (1, 6)])
+    def test_same_rendered_basis(self, k, d):
+        expected = [
+            t.render() for t in invariant_tensor_basis(k, d, matrix=NilpotentModel(k).matrix())
+        ]
+        assert [t.render() for t in invariant_tensor_basis(k, d)] == expected
+
+    def test_criterion_skips_dependent_rows(self, monkeypatch):
+        inserted = []
+        original = Echelon.insert
+
+        def counting(self, row):
+            inserted.append(original(self, row))
+            return inserted[-1]
+
+        monkeypatch.setattr(Echelon, "insert", counting)
+        assert len(invariant_tensor_basis(4, 5)) == factorial(5)
+        # every p_m row of every grade would be 11,200 rows, 8,195 of them dependent
+        assert (len(inserted), inserted.count(None)) == (4999, 1994)
 
 
 class TestWronskian:
