@@ -246,7 +246,7 @@ def graded_kernels(
         for m in range(1, k + 1):
             if m <= w:
                 skip = leads[w - m][m - 1].__contains__
-                for mu in filterfalse(skip, range(sizes[w - m] - 1, -1, -1)):
+                for mu in filterfalse(skip, reversed(range(sizes[w - m]))):
                     r = row(m, w, mu)
                     if r:
                         lead = min(r)
