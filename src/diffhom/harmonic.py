@@ -39,7 +39,9 @@ one degree of a homogeneous presentation; an inhomogeneous presentation is
 homogenized with an extra variable Z_0 first, which keeps every bounded-
 degree verdict (see _membership_test).  The quotient route ranks every
 landing pair on purpose, so that it stays an independent second computation
-of each dimension.
+of each dimension; it also keeps the whole box, where the kernel route drops
+the columns above the middle degree once a generator is a linear form with
+full support (see perp_basis).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 from math import comb, factorial, prod
-from operator import add, sub
+from operator import add, le, sub
 
 from .errors import IndexOutOfRangeError
 from .linalg import Echelon, rank_of
@@ -327,16 +329,32 @@ def perp_basis(
     generator is then applied as a differential operator on box monomials
     and the exact null space is returned as polynomials, echelon-ordered.
 
+    When some generator is a linear form sum c_i*Z_i with every c_i != 0,
+    only the box columns of degree <= d*box_bound/2 are used.  Rescaling
+    each Z_i by c_i keeps the box and turns the form into sum d/dZ_i, and
+    d/dZ_i is a principal nilpotent on the polynomials of degree <= box_bound
+    in Z_i.  So by Jacobson-Morozov the box is an sl2-module in which degree
+    t has h-eigenvalue 2t - d*box_bound, and the form's operator, a lowering
+    element, is injective where that is positive: every kernel vector lies
+    in the columns up to the middle degree.  A vector there is killed by a
+    row exactly when it is killed by the row's entries in those columns, so
+    the rows are cut to them, and the kernel and its canonical basis (the
+    columns are a prefix of the column order) are unchanged.
+    ik_presentation and dcp_presentation always contain e_1.  The `max_box`
+    cap still sees the whole box.
+
     A generator term c*Z^q sends the box monomial Z^(m+q) to
     c * prod falling_factorial(m_i+q_i, q_i) * Z^m, so it reaches the
-    multipliers m of the box shifted by q (m_i <= box_bound - q_i), with the
-    weights read from one table of falling factorials up to box_bound.  Row
-    (generator, m) collects those entries; it is
-    (1/m!) * (Z^m*g mod Z_i^(box_bound+1)) scaled by b! at column b, so the
-    rows of the generators before g span an ideal of the truncated box
-    algebra.  The multipliers a generator reaches are collected first and
-    the skipped ones (below) dropped once each; only the kept rows then walk
-    the generator's terms.
+    multipliers m of the box shifted by q (m_i <= box_bound - q_i) with
+    |m| + |q| at most the top column degree, with the weights read from one
+    table of falling factorials up to box_bound.  Row (generator, m)
+    collects those entries; it is (1/m!) * (Z^m*g mod Z_i^(box_bound+1) and
+    the monomials above the top degree) scaled by b! at column b.  Those
+    monomials span an ideal of the box algebra, so the rows of the
+    generators before g span an ideal of the quotient, the algebra of the
+    columns.  Each term walks its shifted box once and adds its entry to
+    the row of every multiplier that is not skipped (below), so no pair that
+    misses the columns is formed.
 
     Most of these rows are dependent, and a syzygy criterion (the matrix
     form of Faugere's F5) skips them before elimination.  The generators are
@@ -357,32 +375,36 @@ def perp_basis(
     caps = caps or DEFAULT_CAPS
     d = presentation.nvars
     caps.check("max_box", (box_bound + 1) ** d)
-    cols = _box_columns(d, box_bound)
+    gens = [_z_exponents(g, d) for g in presentation.generators]
+    top = d * box_bound
+    # d distinct degree-1 terms are the linear form sum c_i*Z_i with every c_i != 0
+    if any(len(terms) == d and all(sum(q) == 1 for q, _ in terms) for terms in gens):
+        top //= 2
+    cols = [b for b in _box_columns(d, box_bound) if sum(b) <= top]
     col_index = {b: i for i, b in enumerate(cols)}
     weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(box_bound + 1)]
     ech = Echelon()
-    for gen in presentation.generators:
-        terms = _z_exponents(gen, d)
+    for terms in gens:
         # the multiplier-0 row: c * q! at column q, for the terms in the box
         first = {col_index[q]: c * prod(map(factorial, q)) for q, c in terms if q in col_index}
         if ech.contains(first):
             continue
-        reached: set = set()
-        for q, _ in terms:
-            shifted = product(*(range(box_bound - e + 1) for e in q))
-            reached.update(map(col_index.__getitem__, shifted))
-        for mi in sorted(reached.difference(ech.leads), reverse=True):
-            m = cols[mi]
-            row = {}
-            for q, c in terms:
-                bi = col_index.get(tuple(map(add, m, q)))
-                if bi is not None:
-                    value = c
-                    for e, f in zip(cols[bi], q):
-                        if f:
-                            value *= weight[e][f]
-                    row[bi] = value
-            ech.insert(row)
+        skip = set(ech.leads)
+        rows: dict = {}
+        for q, c in terms:
+            room = top - sum(q)
+            for m in product(*(range(box_bound - e + 1) for e in q)):
+                if sum(m) <= room:
+                    mi = col_index[m]
+                    if mi not in skip:
+                        b = tuple(map(add, m, q))
+                        value = c
+                        for e, f in zip(b, q):
+                            if f:
+                                value *= weight[e][f]
+                        rows.setdefault(mi, {})[col_index[b]] = value
+        for mi in sorted(rows, reverse=True):
+            ech.insert(rows[mi])
     return [
         Poly({_z_monomial(cols[ci]): val for ci, val in vec.items()})
         for vec in ech.kernel(len(cols))
@@ -634,13 +656,38 @@ class SpanningReport:
         return self.annihilated and self.rank == self.expected_dimension
 
 
-def _kills(terms, poly_terms) -> bool:
-    """True iff the operator with the given terms annihilates the polynomial."""
-    image: dict = {}
-    for exp, c in poly_terms:
-        for out, coeff in _derivative(exp, terms).items():
-            image[out] = image.get(out, 0) + c * coeff
-    return not any(image.values())
+def _kills(terms, polys, weight) -> bool:
+    """True iff the operator with the given terms annihilates every polynomial.
+
+    The polynomials are lists of (exponent tuple, coefficient) terms.  An
+    operator term c*(d/dZ)^q sends c'*Z^e with e >= q to
+    c*c'*prod weight[e_i][q_i] * Z^(e-q), where weight[e][f] is the falling
+    factorial e!/(e-f)!.  Whether e >= q depends only on e capped at the
+    largest exponent of each variable among the terms, so the terms that land
+    are listed once per capped exponent and every other pair is never formed.
+    """
+    ceiling = [max(column) for column in zip(*(q for q, _ in terms))]
+    landing: dict = {}
+    for poly_terms in polys:
+        image: dict = {}
+        for exp, pc in poly_terms:
+            key = tuple(map(min, exp, ceiling))
+            hits = landing.get(key)
+            if hits is None:
+                hits = landing[key] = [
+                    (q, c, [(i, f) for i, f in enumerate(q) if f])
+                    for q, c in terms
+                    if all(map(le, q, key))
+                ]
+            for q, c, support in hits:
+                value = c * pc
+                for i, f in support:
+                    value *= weight[exp[i]][f]
+                out = tuple(map(sub, exp, q))
+                image[out] = image.get(out, 0) + value
+        if any(image.values()):
+            return False
+    return True
 
 
 def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
@@ -664,10 +711,10 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     d = mu.d
     tableaux = enum_standard_tableaux(mu, caps)
     deltas = [_z_exponents(tableau_vandermonde(t), d) for t in tableaux]
-    gen_terms = [_z_exponents(g, d) for g in dcp_presentation(mu).generators]
-    annihilated = all(_kills(terms, delta) for terms in gen_terms for delta in deltas)
     # each Z_e sits in one column, so its exponent is below the column length
     weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(d)]
+    gen_terms = [_z_exponents(g, d) for g in dcp_presentation(mu).generators]
+    annihilated = all(_kills(terms, deltas, weight) for terms in gen_terms)
     family = []
     for delta in deltas:
         images: dict = {}

@@ -16,8 +16,11 @@ lowers the total grade sum(a_i) by m, and J^(k+1) = 0 leaves only
 m <= min(k, d).  The p_m commute, as the jet derivations E_m do, so the
 kernel comes from the same engine, `linalg.graded_kernels`: one null space
 of power-sum rows per grade, with the rows its syzygy criterion shows to be
-dependent skipped.  For (k,d) = (4,5) it keeps 4,999 of the 11,200 rows,
-1,994 of them still dependent, where every row would give 8,195.
+dependent skipped.  Only the grades up to kd/2 are solved, because no
+invariant lies above the middle grade (see `_shift_basis`).  For (k,d) =
+(4,5) those grades have 3,492 rows, 1,859 of them dependent; the criterion
+keeps 2,187, 554 of them still dependent.  Every grade would give 11,200
+rows, 8,195 of them dependent.
 
 Two translations connect tensors to polynomials: `to_harmonic` maps the
 f-basis to monomials in auxiliary Z variables (turning insertion operators
@@ -194,9 +197,11 @@ def invariant_tensor_basis(
     operator sets have the same joint kernel.  For the canonical shift J^m
     lowers the grade (coordinate sum) by m and only m <= min(k, d) gives
     rows, so the grades are the blocks of `linalg.graded_kernels`, which
-    skips the rows its syzygy criterion shows to be dependent (see
-    `_shift_basis`).  An explicit operator matrix (e.g. a conjugated shift)
-    need not respect the grading, so the whole box is one block, and its
+    skips the rows its syzygy criterion shows to be dependent; only the
+    grades up to kd/2 can hold an invariant, and only they are solved (see
+    `_shift_basis`).  The `max_box` cap still sees the whole box.  An
+    explicit operator matrix (e.g. a conjugated shift) need not respect the
+    grading, so the whole box is one block, and its
     kernel is one null space of every power-sum row: each unit column
     contributes (M^m)[r][a_s] to the row of p_m at the index with slot s
     set to r.  Passing the shift itself as a matrix takes this ungraded
@@ -256,16 +261,26 @@ def invariant_tensor_basis(
 def _shift_basis(k: int, d: int) -> list[Tensor]:
     """The canonical shift's invariant basis, grade by grade.
 
-    The grades 0..k*d are the blocks of `graded_kernels`, and p_1..p_min(k,d)
-    its commuting operators.  The row of p_m at an index kappa of grade
+    The grades 0..kd/2 are the blocks of `graded_kernels`, and p_1..p_min(k,d)
+    its commuting operators.  No invariant has a coordinate of a higher
+    grade: J is a principal nilpotent on f_0..f_k, so by Jacobson-Morozov it
+    is the lowering element f of an sl2-triple (e, h, f) with h f_a =
+    (2a - k) f_a.  On the tensor power f acts as p_1 and h has eigenvalue
+    2g - kd on grade g, and in a finite-dimensional sl2-module f is
+    injective on the eigenspaces of h with positive eigenvalue.  The rows of
+    a grade read only lower grades, so the grades that are kept are solved
+    exactly as before.  The row of p_m at an index kappa of grade
     w - m is the coefficient of kappa in p_m applied to each column of grade
     w: the columns are kappa with one slot a raised to a + m <= k, with
     weight (a+m)!/a!, the entry of J^m.
     """
-    blocks: list[list[tuple]] = [[] for _ in range(k * d + 1)]
+    middle = k * d // 2
+    blocks: list[list[tuple]] = [[] for _ in range(middle + 1)]
     # product over descending digits lists each grade in descending index order
     for idx in product(range(k, -1, -1), repeat=d):
-        blocks[sum(idx)].append(idx)
+        grade = sum(idx)
+        if grade <= middle:
+            blocks[grade].append(idx)
     index = [{idx: ci for ci, idx in enumerate(columns)} for columns in blocks]
     # rise[a][m] = (a+m)!/a!, the entry of J^m from f_(a+m) to f_a
     rise = [[factorial(a + m) // factorial(a) for m in range(k + 1 - a)] for a in range(k + 1)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import product
 from math import factorial
 
@@ -366,6 +367,16 @@ def kernel_by_columns(presentation, bound):
     ]
 
 
+@cache
+def ik_kernel_by_columns(d, k):
+    return kernel_by_columns(ik_presentation(d, k), k)
+
+
+@cache
+def dcp_kernel_by_columns(mu):
+    return kernel_by_columns(dcp_presentation(mu), mu.d - 1)
+
+
 def quotient_by_all_pairs(generators, d, bound):
     """Box dimension minus the rank of every product m*g, cut to the box."""
     cols = box(d, bound)
@@ -410,13 +421,13 @@ def rendered(polys):
 class TestBoxRoutesAgainstAllPairs:
     @pytest.mark.parametrize("d,k", IK_CASES)
     def test_ik_kernel(self, d, k):
-        pres = ik_presentation(d, k)
-        assert rendered(perp_basis(pres, k)) == rendered(kernel_by_columns(pres, k))
+        expected = rendered(ik_kernel_by_columns(d, k))
+        assert rendered(perp_basis(ik_presentation(d, k), k)) == expected
 
     @pytest.mark.parametrize("mu", DCP_SHAPES, ids=str)
     def test_dcp_kernel(self, mu):
-        pres = dcp_presentation(mu)
-        assert rendered(perp_basis(pres, mu.d - 1)) == rendered(kernel_by_columns(pres, mu.d - 1))
+        expected = rendered(dcp_kernel_by_columns(mu))
+        assert rendered(perp_basis(dcp_presentation(mu), mu.d - 1)) == expected
 
     @pytest.mark.parametrize("d,k", IK_CASES)
     def test_ik_quotient(self, d, k):
@@ -450,6 +461,30 @@ class TestBoxRoutesAgainstAllPairs:
         assert spans_equal(family, expected)
 
 
+def max_degree(polys):
+    return max((mono_degree(m) for p in polys for m in p.terms), default=0)
+
+
+class TestMiddleDegreeBound:
+    """No solution has a term above the middle degree d*bound/2.
+
+    e_1 = sum Z_i is in both presentations, and d/dZ_i is a principal
+    nilpotent on the polynomials of degree <= bound in Z_i, so by
+    Jacobson-Morozov the box is an sl2-module in which degree t has
+    h-eigenvalue 2t - d*bound, and e_1(d/dZ) is injective where that is
+    positive.  perp_basis solves only the columns up to the middle; the
+    oracle here uses every box column.
+    """
+
+    @pytest.mark.parametrize("d,k", IK_CASES)
+    def test_ik_kernel(self, d, k):
+        assert max_degree(ik_kernel_by_columns(d, k)) <= d * k // 2
+
+    @pytest.mark.parametrize("mu", DCP_SHAPES, ids=str)
+    def test_dcp_kernel(self, mu):
+        assert max_degree(dcp_kernel_by_columns(mu)) <= mu.d * (mu.d - 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # the syzygy criterion against the systems it prunes
 
@@ -480,6 +515,26 @@ def box_presentations(draw):
 @given(box_presentations())
 @settings(max_examples=60, deadline=None)
 def test_pruned_kernel_matches_all_pairs(case):
+    pres, bound = case
+    assert rendered(perp_basis(pres, bound)) == rendered(kernel_by_columns(pres, bound))
+
+
+@st.composite
+def presentations_with_a_full_linear_form(draw):
+    pres, bound = draw(box_presentations())
+    d = pres.nvars
+    coefficients = st.integers(-3, 3).filter(bool)
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    form = z_poly({unit: draw(coefficients) for unit in units})
+    gens = draw(st.permutations(pres.generators + (form,)))
+    return IdealPresentation(d, tuple(gens), "random"), bound
+
+
+@given(presentations_with_a_full_linear_form())
+@settings(max_examples=60, deadline=None)
+def test_middle_degree_kernel_matches_all_pairs(case):
+    # the form sum c_i*Z_i, every c_i != 0, makes perp_basis keep only the
+    # box columns of degree <= d*bound/2; the oracle keeps every column
     pres, bound = case
     assert rendered(perp_basis(pres, bound)) == rendered(kernel_by_columns(pres, bound))
 
@@ -542,8 +597,9 @@ def test_pruned_kernel_inserts_fewer_rows(monkeypatch):
     monkeypatch.setattr(Echelon, "insert", counting)
     basis = perp_basis(ik_presentation(7, 2), 2)
     assert len(basis) == closed_form_dimension(7, 2)
-    # every landing (generator, multiplier) pair would be 10,206 rows
-    assert len(inserted) == 2579
+    # e_1 bounds the columns by the middle degree 7; every landing (generator,
+    # multiplier) pair there would be 1,869 rows (10,206 in the whole box)
+    assert len(inserted) == 1163
 
 
 def member_by_bounded_products(p, presentation, cap):

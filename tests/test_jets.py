@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
@@ -257,6 +258,12 @@ def context_id(ctx):
     return f"N{ctx.n}k{ctx.k}d{ctx.d}"
 
 
+@cache
+def lowering_basis(ctx):
+    """The E_m-image oracle of one context, shared by the tests that read it."""
+    return basis_from_images(ctx, lowerings)
+
+
 class TestLieRouteAgainstSubstitution:
     """diff_homog_basis (derivation rows) against the series action itself."""
 
@@ -276,7 +283,7 @@ class TestCriterionRowsAgainstAllRows:
     @pytest.mark.parametrize("ctx", LOWERING_CONTEXTS, ids=context_id)
     def test_same_rendered_basis_and_provenance(self, ctx):
         basis = diff_homog_basis(ctx)
-        elements, provenance = basis_from_images(ctx, lowerings)
+        elements, provenance = lowering_basis(ctx)
         assert [p.render() for p in basis.elements] == [p.render() for p in elements]
         assert basis.provenance == provenance
 
@@ -291,9 +298,27 @@ class TestCriterionRowsAgainstAllRows:
         monkeypatch.setattr(Echelon, "insert", counting)
         basis = diff_homog_basis(JetContext(2, 3, 4))
         assert basis.dimension == 3**4
-        # every E_m row of every block would be 3,459 rows, 2,175 of them dependent;
-        # the row-lead criterion keeps 2,055
-        assert (len(inserted), inserted.count(None)) == (2055, 771)
+        # only the blocks up to the middle weight dk/2 = 6 are solved; every E_m
+        # row of those would be 1,185 rows, 477 of them dependent (3,459 and
+        # 2,175 over every block), and the row-lead criterion keeps 896
+        assert (len(inserted), inserted.count(None)) == (896, 188)
+
+
+class TestMiddleWeightBound:
+    """No invariant has a term above the middle weight dk/2.
+
+    E_1 is a principal nilpotent on each X_i^(0..k), so by Jacobson-Morozov
+    the degree-d polynomials form an sl2-module in which weight block w has
+    h-eigenvalue 2w - dk, and the lowering operator E_1 is injective where
+    that eigenvalue is positive.  diff_homog_basis solves only the blocks up
+    to the middle; the oracle here solves every block.
+    """
+
+    @pytest.mark.parametrize("ctx", LOWERING_CONTEXTS, ids=context_id)
+    def test_no_kernel_vector_above_the_middle(self, ctx):
+        elements, _ = lowering_basis(ctx)
+        weights = {sum(v.j * e for v, e in mono) for p in elements for mono in p.terms}
+        assert max(weights, default=0) <= ctx.d * ctx.k // 2
 
 
 class TestProductLemma:
