@@ -21,27 +21,41 @@ the powers Z_i^(k+1) force per-variable degree <= k, solution spaces live in
 finite coordinate boxes and all kernels and ranks are exact integer linear
 algebra.  Quotient dimensions are computed independently (rank of the ideal's
 image inside the box algebra), giving a second route to every dimension.
+Both presentations check their closed-form term counts (2^d - 1 + d for
+ik, up to 3^d for dcp) against `max_products` before building a term.
 
-Both box routes build their rows only from the pairs that land: a generator
-term Z^q meets exactly the monomials of the box shifted by q, so each term
-walks that shifted box instead of being tried against every box monomial.
-The two routes keep separate loops, so a slip in one cannot hide in the
-other; `apply_poly_operator` stays the plain operator on whole polynomials.
+The kernel of e_1..e_J beside generators that are zero on the box, which
+is what ik_presentation(d, k) is in the box of bound k, is read from the
+power sums: Newton's identities give (e_1..e_J) = (p_1..p_J) over Q, a row
+of p_m(d/dZ) has at most d entries where one of e_m(d/dZ) has up to
+C(d, m), and these are the power sums of the shift under f_a <-> Z^a, so
+the graded engine of `tensors` solves them with ascending columns and
+returns the very basis of the generic route (see perp_basis).  Every other
+presentation takes the generic route, which stays the tests' reference.
+The quotient route keeps its e_j rows, so the ik dimension still has two
+independent computations: power-sum kernel against e-row quotient.
 
-The kernel route and the membership windows skip most dependent rows
-before elimination with a syzygy criterion (the matrix form of Faugere's
-F5): with the generators taken in order, the multiple m*g_j is dropped when
-m is a leading term of the span of the earlier generators' multiples,
-because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both parts are
-spanned by rows that are kept (see perp_basis).  The span, and so every
-kernel vector and membership verdict, is unchanged.  A membership window is
-one degree of a homogeneous presentation; an inhomogeneous presentation is
-homogenized with an extra variable Z_0 first, which keeps every bounded-
-degree verdict (see _membership_test).  The quotient route ranks every
-landing pair on purpose, so that it stays an independent second computation
-of each dimension; it also keeps the whole box, where the kernel route drops
-the columns above the middle degree once a generator is a linear form with
-full support (see perp_basis).
+The generic kernel route and the quotient route build their rows only
+from the pairs that land: a generator term Z^q meets exactly the monomials
+of the box shifted by q, so each term walks that shifted box instead of
+being tried against every box monomial.  The two routes keep separate
+loops, so a slip in one cannot hide in the other; `apply_poly_operator`
+stays the plain operator on whole polynomials.
+
+The generic kernel route and the membership windows skip most dependent
+rows before elimination with a syzygy criterion (the matrix form of
+Faugere's F5): with the generators taken in order, the multiple m*g_j is
+dropped when m is a leading term of the span of the earlier generators'
+multiples, because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both
+parts are spanned by rows that are kept (see _generator_kernel).  The span,
+and so every kernel vector and membership verdict, is unchanged.  A
+membership window is one degree of a homogeneous presentation; an
+inhomogeneous presentation is homogenized with an extra variable Z_0
+first, which keeps every bounded-degree verdict (see _membership_test).
+The quotient route ranks every landing pair on purpose, so that it stays
+an independent second computation of each dimension; it also keeps the
+whole box, where both kernel routes drop the columns above the middle
+degree once e_1, or any linear form with full support, is a generator.
 """
 
 from __future__ import annotations
@@ -65,6 +79,7 @@ from .polynomials import (
 )
 from .resources import DEFAULT_CAPS, ResourceCaps
 from .tensors import (
+    _power_sum_kernels,
     canonical_wronskian_exponents,
     tensor_from_multilinear,
     wronskian,
@@ -229,10 +244,8 @@ def tableau_vandermonde(tableau: YoungTableau) -> Poly:
 
 def elementary_symmetric(var_indices, j: int) -> Poly:
     """The j-th elementary symmetric polynomial in the given Z variables."""
-    total = Poly.zero()
-    for combo in combinations(tuple(var_indices), j):
-        total = total + Poly.monomial([(z_var(i), 1) for i in combo])
-    return total
+    factors = [(z_var(i), 1) for i in sorted(set(var_indices))]
+    return Poly({monomial: 1 for monomial in combinations(factors, j)})
 
 
 @dataclass(frozen=True)
@@ -242,19 +255,33 @@ class IdealPresentation:
     label: str
 
 
-def ik_presentation(d: int, k: int) -> IdealPresentation:
-    """Full elementary symmetric polynomials plus the (k+1)-st powers."""
+def ik_presentation(d: int, k: int, caps: ResourceCaps | None = None) -> IdealPresentation:
+    """Full elementary symmetric polynomials plus the (k+1)-st powers.
+
+    Its 2^d - 1 + d terms are checked against `max_products` before any is
+    built.
+    """
+    (caps or DEFAULT_CAPS).check("max_products", 2**d - 1 + d)
     gens = [elementary_symmetric(range(1, d + 1), j) for j in range(1, d + 1)]
     gens += [Poly.monomial([(z_var(i), k + 1)]) for i in range(1, d + 1)]
     return IdealPresentation(d, tuple(gens), f"ik(d={d},k={k})")
 
 
-def dcp_presentation(mu: Partition) -> IdealPresentation:
-    """Partial elementary symmetric polynomials selected by the partition."""
+def dcp_presentation(mu: Partition, caps: ResourceCaps | None = None) -> IdealPresentation:
+    """Partial elementary symmetric polynomials selected by the partition.
+
+    Its terms, C(i, j) for each of the C(d, i) subsets of size i and each
+    selected j, are counted and checked against `max_products` before any
+    is built.
+    """
     d = mu.d
+    lows = [max(1, i - mu.cells_in_last_columns(i) + 1) for i in range(1, d + 1)]
+    (caps or DEFAULT_CAPS).check(
+        "max_products",
+        sum(comb(d, i) * comb(i, j) for i, lo in enumerate(lows, 1) for j in range(lo, i + 1)),
+    )
     gens = []
-    for i in range(1, d + 1):
-        lo = max(1, i - mu.cells_in_last_columns(i) + 1)
+    for i, lo in enumerate(lows, 1):
         for subset in combinations(range(1, d + 1), i):
             for j in range(lo, i + 1):
                 gens.append(elementary_symmetric(subset, j))
@@ -327,7 +354,75 @@ def perp_basis(
     The box of per-variable degree <= box_bound must absorb the ideal's pure
     powers (as it does for ik_presentation(d, k) with box_bound = k); every
     generator is then applied as a differential operator on box monomials
-    and the exact null space is returned as polynomials, echelon-ordered.
+    and the exact null space is returned as polynomials, echelon-ordered
+    over the box monomials in (total degree, exponent tuple) order.
+
+    Two routes compute it, chosen by a property of the input.  When every
+    generator is either zero on the box (each of its terms has an exponent
+    above box_bound, as the powers Z_i^(k+1) of ik_presentation do) or an
+    elementary symmetric polynomial e_j in all of Z_1..Z_d (coefficient 1
+    on each squarefree degree-j monomial), and the e_j present are exactly
+    e_1..e_J for some J >= 1, in any order, the kernel is read from the
+    power sums.  Newton's identities over Q give (e_1..e_J) = (p_1..p_J),
+    and p_m(d/dZ) with m > box_bound is zero on the box, so the kernel is
+    the joint kernel of p_1..p_min(J, box_bound).  The row of p_m at Z^mu
+    raises one exponent a of mu by m with weight (a+m)!/a!, so it has at
+    most d entries where a row of e_m has up to C(d, m); the power sums are
+    those of the shift in `tensors`, whose graded engine solves them degree
+    by degree up to the middle degree, with each degree's columns in
+    ascending tuple order.  The system is graded, so the canonical kernel
+    over all columns is the concatenation of the degrees' canonical
+    kernels, and each degree's `nullspace` basis is exactly the basis the
+    generic route returns.
+
+    Every other presentation takes the generic route, `_generator_kernel`,
+    which applies each generator's own rows; it is also the reference the
+    tests hold the power-sum route against.  On both routes the `max_box`
+    cap sees the whole box.
+    """
+    caps = caps or DEFAULT_CAPS
+    d = presentation.nvars
+    caps.check("max_box", (box_bound + 1) ** d)
+    gens = [_z_exponents(g, d) for g in presentation.generators]
+    powers = _power_sums_of(gens, d, box_bound)
+    if not powers:
+        return _generator_kernel(gens, d, box_bound)
+    basis: list[Poly] = []
+    for columns, kernel in _power_sum_kernels(box_bound, d, powers, descending=False):
+        basis += _kernel_polys(columns, kernel)
+    return basis
+
+
+def _power_sums_of(gens, d: int, box_bound: int) -> int:
+    """J if the generators are e_1..e_J beside generators zero on the box, else 0.
+
+    gens lists each generator's (exponent tuple, coefficient) terms.  e_j
+    is C(d, j) squarefree terms of degree j >= 1 with coefficient 1
+    (distinct, being the keys of a polynomial).  A generator is zero on the
+    box when each of its terms has an exponent above box_bound.
+    """
+    degrees = set()
+    for terms in gens:
+        j = sum(terms[0][0]) if terms else 0
+        if j and len(terms) == comb(d, j) and all(
+            c == 1 and max(q) == 1 and sum(q) == j for q, c in terms
+        ):
+            degrees.add(j)
+        elif not all(max(q, default=0) > box_bound for q, _ in terms):
+            return 0
+    return len(degrees) if degrees == set(range(1, len(degrees) + 1)) else 0
+
+
+def _kernel_polys(columns: list, kernel: list) -> list[Poly]:
+    """Kernel vectors over the exponent-tuple columns, as polynomials."""
+    monos = [_z_monomial(b) for b in columns]
+    return [Poly({monos[ci]: val for ci, val in vec.items()}) for vec in kernel]
+
+
+def _generator_kernel(gens, d: int, box_bound: int) -> list[Poly]:
+    """The perp_basis kernel from the generators' own rows, for any presentation.
+
+    gens lists each generator's (exponent tuple, coefficient) terms.
 
     When some generator is a linear form sum c_i*Z_i with every c_i != 0,
     only the box columns of degree <= d*box_bound/2 are used.  Rescaling
@@ -340,8 +435,7 @@ def perp_basis(
     row exactly when it is killed by the row's entries in those columns, so
     the rows are cut to them, and the kernel and its canonical basis (the
     columns are a prefix of the column order) are unchanged.
-    ik_presentation and dcp_presentation always contain e_1.  The `max_box`
-    cap still sees the whole box.
+    ik_presentation and dcp_presentation always contain e_1.
 
     A generator term c*Z^q sends the box monomial Z^(m+q) to
     c * prod falling_factorial(m_i+q_i, q_i) * Z^m, so it reaches the
@@ -372,10 +466,6 @@ def perp_basis(
     every Z^m*g_j: all its rows are skipped (for ik(d, k), Newton's
     identities make e_(k+1)..e_d redundant this way).
     """
-    caps = caps or DEFAULT_CAPS
-    d = presentation.nvars
-    caps.check("max_box", (box_bound + 1) ** d)
-    gens = [_z_exponents(g, d) for g in presentation.generators]
     top = d * box_bound
     # d distinct degree-1 terms are the linear form sum c_i*Z_i with every c_i != 0
     if any(len(terms) == d and all(sum(q) == 1 for q, _ in terms) for terms in gens):
@@ -405,10 +495,7 @@ def perp_basis(
                         rows.setdefault(mi, {})[col_index[b]] = value
         for mi in sorted(rows, reverse=True):
             ech.insert(rows[mi])
-    return [
-        Poly({_z_monomial(cols[ci]): val for ci, val in vec.items()})
-        for vec in ech.kernel(len(cols))
-    ]
+    return _kernel_polys(cols, ech.kernel(len(cols)))
 
 
 def _box_quotient_dimension(
@@ -425,9 +512,8 @@ def _box_quotient_dimension(
     c*Z^e contributes to the row of m*g exactly when m_i <= box_bound - e_i,
     so each term walks the box shifted by e.  Rows (m, generator) are
     ranked in monomial-major, generator-minor order, and empty rows are
-    dropped.
+    dropped.  The callers check `max_box` before they build the generators.
     """
-    caps.check("max_box", (box_bound + 1) ** d)
     cols = _box_columns(d, box_bound)
     gen_terms = [_z_exponents(g, d) for g in generators]
     caps.check("max_products", len(cols) * max(1, len(gen_terms)))
@@ -450,7 +536,8 @@ def quotient_dimension(d: int, k: int, caps: ResourceCaps | None = None) -> int:
     zero-dimensional ideal, here the symmetric-plus-powers ideal.
     """
     caps = caps or DEFAULT_CAPS
-    gens = [elementary_symmetric(range(1, d + 1), j) for j in range(1, d + 1)]
+    caps.check("max_box", (k + 1) ** d)
+    gens = ik_presentation(d, k, caps).generators[:d]
     return _box_quotient_dimension(gens, d, k, caps)
 
 
@@ -462,9 +549,8 @@ def dcp_quotient_dimension(mu: Partition, caps: ResourceCaps | None = None) -> i
     """
     caps = caps or DEFAULT_CAPS
     mu = mu if isinstance(mu, Partition) else Partition.of(mu)
-    return _box_quotient_dimension(
-        dcp_presentation(mu).generators, mu.d, mu.d - 1, caps
-    )
+    caps.check("max_box", mu.d**mu.d)
+    return _box_quotient_dimension(dcp_presentation(mu, caps).generators, mu.d, mu.d - 1, caps)
 
 
 def closed_form_dimension(d: int, k: int) -> int:
@@ -519,7 +605,7 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
     The echelon of a degree is built the first time a polynomial needs it
     and reused for every later one.  `max_products` is checked against the
     family of the needed degree before anything is built; the lower degrees
-    it reads have smaller families.  The syzygy criterion of perp_basis
+    it reads have smaller families.  The syzygy criterion of _generator_kernel
     prunes every degree: the product m*g_j is skipped when m is the pivot
     column of a product of an earlier generator in degree t - deg g_j,
     because that degree spans the degree-(t - deg g_j) part of the ideal of
@@ -621,8 +707,8 @@ def verify_dcp_equality(
     caps = caps or DEFAULT_CAPS
     if degree_cap is None:
         degree_cap = d * (k + 1)
-    ik = ik_presentation(d, k)
-    dcp = dcp_presentation(balanced_partition(d, k))
+    ik = ik_presentation(d, k, caps)
+    dcp = dcp_presentation(balanced_partition(d, k), caps)
     in_dcp = _membership_test(dcp, degree_cap, caps)
     in_ik = _membership_test(ik, degree_cap, caps)
     forward = [g.render() for g in ik.generators if not in_dcp(g)]
@@ -713,7 +799,7 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     deltas = [_z_exponents(tableau_vandermonde(t), d) for t in tableaux]
     # each Z_e sits in one column, so its exponent is below the column length
     weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(d)]
-    gen_terms = [_z_exponents(g, d) for g in dcp_presentation(mu).generators]
+    gen_terms = [_z_exponents(g, d) for g in dcp_presentation(mu, caps).generators]
     annihilated = all(_kills(terms, deltas, weight) for terms in gen_terms)
     family = []
     for delta in deltas:
@@ -730,7 +816,7 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     rank = rank_of(family)
     k = matching_order(mu)
     if k is not None:
-        expected = len(perp_basis(ik_presentation(d, k), k, caps))
+        expected = len(perp_basis(ik_presentation(d, k, caps), k, caps))
         route = f"kernel(k={k})"
     else:
         expected = dcp_quotient_dimension(mu, caps)

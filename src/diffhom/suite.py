@@ -179,14 +179,17 @@ def _stabilization_rows(d, n, caps):
 
 
 def _tensor_rows(d, caps):
-    yield _eq("dim", factorial(d), len(ten.invariant_tensor_basis(d - 1, d, caps)))
-    if d <= WRONSKIAN_BASIS_MAX:
-        report = ten.verify_wronskian_basis(d, caps)
-        yield "wronskian-rank", factorial(d), report.rank, report.passed
+    if d > WRONSKIAN_BASIS_MAX:
+        yield _eq("dim", factorial(d), len(ten.invariant_tensor_basis(d - 1, d, caps)))
+        return
+    # the Wronskian check computes the same kernel; its dimension is the dim row
+    report = ten.verify_wronskian_basis(d, caps)
+    yield _eq("dim", factorial(d), report.kernel_dimension)
+    yield "wronskian-rank", factorial(d), report.rank, report.passed
 
 
 def _kernel_dimension(d, k, caps):
-    return len(har.perp_basis(har.ik_presentation(d, k), k, caps))
+    return len(har.perp_basis(har.ik_presentation(d, k, caps), k, caps))
 
 
 def _harmonic_rows(d, k, caps, kernel_dimension):

@@ -17,10 +17,17 @@ m <= min(k, d).  The p_m commute, as the jet derivations E_m do, so the
 kernel comes from the same engine, `linalg.graded_kernels`: one null space
 of power-sum rows per grade, with the rows its syzygy criterion shows to be
 dependent skipped.  Only the grades up to kd/2 are solved, because no
-invariant lies above the middle grade (see `_shift_basis`).  For (k,d) =
-(4,5) those grades have 3,492 rows, 1,859 of them dependent; the criterion
-keeps 2,187, 554 of them still dependent.  Every grade would give 11,200
-rows, 8,195 of them dependent.
+invariant lies above the middle grade (see `_power_sum_kernels`).  For
+(k,d) = (4,5) those grades have 3,492 rows, 1,859 of them dependent; the
+criterion keeps 2,187, 554 of them still dependent.  Every grade would give
+11,200 rows, 8,195 of them dependent.
+
+Under f_a <-> Z^a the same power sums, as operators p_m(d/dZ), cut out the
+harmonic kernel of the symmetric-plus-powers ideal, so `_power_sum_kernels`
+also serves `harmonic.perp_basis`.  Its one setting is the column order of
+each grade: descending here, where the null space vectors read backwards
+are the canonical tensor basis, and ascending for the harmonic kernel,
+whose canonical basis is the null space as it comes.
 
 Two translations connect tensors to polynomials: `to_harmonic` maps the
 f-basis to monomials in auxiliary Z variables (turning insertion operators
@@ -199,7 +206,7 @@ def invariant_tensor_basis(
     rows, so the grades are the blocks of `linalg.graded_kernels`, which
     skips the rows its syzygy criterion shows to be dependent; only the
     grades up to kd/2 can hold an invariant, and only they are solved (see
-    `_shift_basis`).  The `max_box` cap still sees the whole box.  An
+    `_power_sum_kernels`).  The `max_box` cap still sees the whole box.  An
     explicit operator matrix (e.g. a conjugated shift) need not respect the
     grading, so the whole box is one block, and its
     kernel is one null space of every power-sum row: each unit column
@@ -220,15 +227,19 @@ def invariant_tensor_basis(
 
     Three loops stay apart from the slot-operator routine of
     `insertion_operator` on purpose: the `lowering` table below, which
-    serves `matrix=` only, and the raising rows of `_shift_basis`, because
-    `insertion_operator` is the oracle these power-sum rows are tested
-    against, and `expand_one_parameter`, the independent side of the
+    serves `matrix=` only, and the raising rows of `_power_sum_kernels`,
+    because `insertion_operator` is the oracle these power-sum rows are
+    tested against, and `expand_one_parameter`, the independent side of the
     one-parameter-expansion property check.
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
     if matrix is None:
-        return _shift_basis(k, d)
+        return [
+            Tensor(k, d, {columns[col]: c for col, c in vec.items()})
+            for columns, kernel in _power_sum_kernels(k, d, d, descending=True)
+            for vec in reversed(kernel)
+        ]
 
     # lowering[m-1][a]: the nonzero entries (r, (M^m)[r][a]) of column a of
     # M^m; built here, not by insertion_operator, which is tested against it
@@ -258,26 +269,40 @@ def invariant_tensor_basis(
     return [Tensor(k, d, {columns[col]: c for col, c in vec.items()}) for vec in reversed(kernel)]
 
 
-def _shift_basis(k: int, d: int) -> list[Tensor]:
-    """The canonical shift's invariant basis, grade by grade.
+def _power_sum_kernels(k: int, d: int, powers: int, descending: bool) -> list[tuple]:
+    """Joint kernels of p_1..p_powers of the shift on the box {0..k}^d, by grade.
 
-    The grades 0..kd/2 are the blocks of `graded_kernels`, and p_1..p_min(k,d)
-    its commuting operators.  No invariant has a coordinate of a higher
+    Returns (columns, kernel) for each grade 0..kd/2: the grade's index
+    tuples, in descending or ascending tuple order, and the `nullspace`
+    canonical basis over those columns.  The grades are the blocks of
+    `graded_kernels`, and p_1..p_min(k, powers) its commuting operators
+    (J^m = 0 for m > k).  No kernel vector has a coordinate of a higher
     grade: J is a principal nilpotent on f_0..f_k, so by Jacobson-Morozov it
     is the lowering element f of an sl2-triple (e, h, f) with h f_a =
     (2a - k) f_a.  On the tensor power f acts as p_1 and h has eigenvalue
     2g - kd on grade g, and in a finite-dimensional sl2-module f is
     injective on the eigenspaces of h with positive eigenvalue.  The rows of
-    a grade read only lower grades, so the grades that are kept are solved
-    exactly as before.  The row of p_m at an index kappa of grade
-    w - m is the coefficient of kappa in p_m applied to each column of grade
-    w: the columns are kappa with one slot a raised to a + m <= k, with
-    weight (a+m)!/a!, the entry of J^m.
+    a grade read only lower grades, so leaving out the higher grades changes
+    none of the kept grades' systems.  The row of p_m at an index kappa of
+    grade w - m is the coefficient of kappa in p_m applied to each column of
+    grade w: the columns are kappa with one slot a raised to a + m <= k,
+    with weight (a+m)!/a!, the entry of J^m.
+
+    Under f_a <-> Z^a this is also the joint kernel of the p_m(d/dZ) on the
+    polynomials of per-variable degree <= k, so the same routine serves the
+    tensor invariants (descending columns, see `invariant_tensor_basis`) and
+    the harmonic kernel of `harmonic.perp_basis` (ascending columns, whose
+    canonical basis is each grade's null space as it comes).  The column
+    order is the only setting in which the two callers differ; the tensors
+    ask for p_1..p_d, the harmonic kernel for p_1..p_J of its e_1..e_J.
+    The tensors keep descending order because ascending columns followed
+    by one canonicalising RREF per grade measured slower: 0.08 s against
+    0.07 s at (k,d) = (4,5) on a shared 2-vCPU machine.
     """
     middle = k * d // 2
     blocks: list[list[tuple]] = [[] for _ in range(middle + 1)]
-    # product over descending digits lists each grade in descending index order
-    for idx in product(range(k, -1, -1), repeat=d):
+    # product over ordered digits lists each grade in that tuple order
+    for idx in product(range(k, -1, -1) if descending else range(k + 1), repeat=d):
         grade = sum(idx)
         if grade <= middle:
             blocks[grade].append(idx)
@@ -292,12 +317,7 @@ def _shift_basis(k: int, d: int) -> list[Tensor]:
                 out[col[kappa[:s] + (a + m,) + kappa[s + 1 :]]] = rise[a][m]
         return out
 
-    basis: list[Tensor] = []
-    for columns, kernel in zip(blocks, graded_kernels(list(map(len, blocks)), min(k, d), row)):
-        basis.extend(
-            Tensor(k, d, {columns[col]: c for col, c in vec.items()}) for vec in reversed(kernel)
-        )
-    return basis
+    return list(zip(blocks, graded_kernels(list(map(len, blocks)), min(k, powers), row)))
 
 
 def wronskian(alpha, d: int | None = None, k: int | None = None) -> Poly:

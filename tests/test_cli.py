@@ -317,6 +317,34 @@ def test_out_of_range_options_exit_2(capsys, argv):
     assert "must be at least" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("harmonic", "--d", "16", "--k", "1"),
+        ("harmonic", "--d", "18", "--k", "1"),
+        ("harmonic", "--d", "20", "--k", "0"),
+        ("dcp", "--d", "20", "--k", "1"),
+    ],
+)
+def test_oversized_presentations_exit_2_before_they_are_built(argv):
+    # the presentations hold up to 2^d and 3^d terms; a cap checked only
+    # after they are built takes minutes to fire, or never fires (box 1)
+    src = str(Path(diffhom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DIFFHOM_")}
+    done = subprocess.run(
+        [sys.executable, "-m", "diffhom", *argv],
+        env={**env, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: max_")
+
+
 FUZZ_OPTIONS = {
     "dim": ("--N", "--d", "--k"),
     "tensor-inv": ("--k", "--d"),

@@ -461,6 +461,68 @@ class TestBoxRoutesAgainstAllPairs:
         assert spans_equal(family, expected)
 
 
+def generic_perp_basis(presentation, bound):
+    """perp_basis from the generators' own rows, the route for any presentation."""
+    d = presentation.nvars
+    gens = [harmonic._z_exponents(g, d) for g in presentation.generators]
+    return harmonic._generator_kernel(gens, d, bound)
+
+
+def refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refused
+
+
+# every ik(d, k), d <= 11 and k <= d, with a box of at most 3^7 monomials
+POWER_SUM_CASES = [(d, k) for d in range(1, 12) for k in range(d + 1) if (k + 1) ** d <= 2187]
+
+
+def near_misses(d, k):
+    """ik(d, k) changed so that the power sums no longer give its kernel."""
+    e = [elementary_symmetric(range(1, d + 1), j) for j in range(1, d + 1)]
+    powers = [Poly.monomial([(z_var(i), k + 1)]) for i in range(1, d + 1)]
+    at_bound = [Poly.monomial([(z_var(1), k)])] + powers[1:]
+    return {
+        "e2-dropped": e[:1] + e[2:] + powers,
+        "e1-doubled": [e[0].scale(2)] + e[1:] + powers,
+        "power-at-bound": e + at_bound,
+        "extra-generator": e + powers + [Z1 * Z2],
+    }
+
+
+class TestPowerSumRoute:
+    """perp_basis reads e_1..e_J beside box-killing powers from the power sums."""
+
+    @pytest.mark.parametrize("d,k", POWER_SUM_CASES)
+    def test_ik_kernel_matches_the_generic_route(self, d, k, monkeypatch):
+        pres = ik_presentation(d, k)
+        expected = "\n".join(rendered(generic_perp_basis(pres, k)))
+        monkeypatch.setattr(harmonic, "_generator_kernel", refuse("_generator_kernel"))
+        assert "\n".join(rendered(perp_basis(pres, k))) == expected
+
+    @pytest.mark.parametrize("d,k", [(4, 2), (3, 3), (5, 1)])
+    def test_any_prefix_in_any_order(self, d, k, monkeypatch):
+        # e_J..e_1 between powers of different exponents, all above the bound
+        powers = [Poly.monomial([(z_var(i), k + 1 + i)]) for i in range(1, d + 1)]
+        for top in range(1, d + 1):
+            e = [elementary_symmetric(range(1, d + 1), j) for j in range(top, 0, -1)]
+            pres = IdealPresentation(d, tuple(powers[:1] + e + powers[1:]), "prefix")
+            expected = rendered(kernel_by_columns(pres, k))
+            with monkeypatch.context() as m:
+                m.setattr(harmonic, "_generator_kernel", refuse("_generator_kernel"))
+                assert rendered(perp_basis(pres, k)) == expected
+
+    @pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("kind", ["e2-dropped", "e1-doubled", "power-at-bound", "extra-generator"])
+    def test_near_misses_take_the_generic_route(self, d, k, kind, monkeypatch):
+        pres = IdealPresentation(d, tuple(near_misses(d, k)[kind]), kind)
+        expected = rendered(kernel_by_columns(pres, k))
+        monkeypatch.setattr(harmonic, "_power_sum_kernels", refuse("_power_sum_kernels"))
+        assert rendered(perp_basis(pres, k)) == expected
+
+
 def max_degree(polys):
     return max((mono_degree(m) for p in polys for m in p.terms), default=0)
 
@@ -586,20 +648,38 @@ def test_pruned_membership_matches_all_products(case, cap):
     assert [ideal_membership(p, pres, cap) for p in targets] == expected
 
 
-def test_pruned_kernel_inserts_fewer_rows(monkeypatch):
+def count_inserts(monkeypatch):
+    """The rows inserted into any Echelon from now on, as (row, pivot) pairs."""
     inserted = []
     original = Echelon.insert
 
     def counting(self, row):
-        inserted.append(1)
-        return original(self, row)
+        pivot = original(self, row)
+        inserted.append((row, pivot))
+        return pivot
 
     monkeypatch.setattr(Echelon, "insert", counting)
-    basis = perp_basis(ik_presentation(7, 2), 2)
+    return inserted
+
+
+def test_pruned_kernel_inserts_fewer_rows(monkeypatch):
+    inserted = count_inserts(monkeypatch)
+    basis = generic_perp_basis(ik_presentation(7, 2), 2)
     assert len(basis) == closed_form_dimension(7, 2)
     # e_1 bounds the columns by the middle degree 7; every landing (generator,
     # multiplier) pair there would be 1,869 rows (10,206 in the whole box)
     assert len(inserted) == 1163
+
+
+def test_power_sum_kernel_inserts(monkeypatch):
+    # the p_m rows of degrees 0..7, pruned by the graded engine's criterion;
+    # more rows than the e_m rows above, but each has at most d = 7 entries
+    inserted = count_inserts(monkeypatch)
+    basis = perp_basis(ik_presentation(7, 2), 2)
+    assert len(basis) == closed_form_dimension(7, 2)
+    assert len(inserted) == 1191
+    assert sum(pivot is None for _, pivot in inserted) == 111
+    assert max(len(row) for row, _ in inserted) == 7
 
 
 def member_by_bounded_products(p, presentation, cap):
@@ -646,14 +726,7 @@ def test_homogenized_membership_matches_bounded_products(case, cap):
 
 
 def test_pruned_membership_inserts_fewer_rows(monkeypatch):
-    inserted = []
-    original = Echelon.insert
-
-    def counting(self, row):
-        inserted.append(1)
-        return original(self, row)
-
-    monkeypatch.setattr(Echelon, "insert", counting)
+    inserted = count_inserts(monkeypatch)
     assert verify_dcp_equality(6, 2).passed
     # every product in the fourteen degree windows would be 2,802 rows
     assert len(inserted) == 2098

@@ -95,6 +95,24 @@ def test_impossible_caps_mark_skips_not_failures():
     assert report.counts["skipped"] >= 2
 
 
+def test_tensor_check_solves_each_kernel_once(monkeypatch):
+    from diffhom import suite, tensors
+
+    solved = []
+    original = tensors.invariant_tensor_basis
+
+    def counting(k, d, *args, **kwargs):
+        solved.append((k, d))
+        return original(k, d, *args, **kwargs)
+
+    monkeypatch.setattr(tensors, "invariant_tensor_basis", counting)
+    checks = [c for c in build_checks(SuiteConfig()) if c.check_id.startswith("03-")]
+    assert [c.inputs["d"] for c in checks] == list(suite.TENSOR_DEGREES)
+    assert all(check.runner()[2] for check in checks)
+    # the Wronskian row's kernel dimension is the dim row for d <= WRONSKIAN_BASIS_MAX
+    assert sorted(solved) == [(d - 1, d) for d in suite.TENSOR_DEGREES]
+
+
 def test_default_suite_covers_all_criteria():
     ids = {check.check_id.split("/")[0] for check in build_checks(SuiteConfig())}
     assert ids == {
