@@ -39,7 +39,6 @@ from .jets import (
     product_lemma_check,
 )
 from .tensors import (
-    NilpotentModel,
     Tensor,
     insertion_operator,
     invariant_tensor_basis,

@@ -841,7 +841,7 @@ def _block_product(blocks, alphas) -> Poly:
     """Product of slot-relabelled Wronskians over disjoint slot blocks."""
     result = Poly.constant(1)
     for block, alpha in zip(blocks, alphas):
-        w = wronskian(alpha, len(block))
+        w = wronskian(alpha)
         mapping = {}
         for v in w.variables():
             mapping[v] = Poly.variable(slot_var(block[v.i - 1], v.j))

@@ -254,7 +254,7 @@ def _generation_rows(d, generation, minimality, caps, quotient_basis):
             agree = agree and cat.function_to_composition(assignment, n) == idx.lengths
             built = cat.build_generator(idx, n, d)
             projected = ten.project_to_symmetric(
-                ten.tensor_from_multilinear(ten.wronskian(idx.flat, d), d, d - 1),
+                ten.tensor_from_multilinear(ten.wronskian(idx.flat), d, d - 1),
                 assignment,
             ).sign_normalized()
             agree = agree and built == projected

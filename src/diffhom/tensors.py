@@ -1,11 +1,12 @@
 """Invariant tensors of the truncated unipotent action, and their two faces.
 
 The model space F has basis f_0..f_k with the nilpotent shift
-J(f_a) = a*f_{a-1}.  On the d-fold tensor power, the ell-fold insertion
-operator applies J in ell distinct slots, summed over ordered tuples of
-distinct slots (so each unordered slot subset contributes ell! times).  A
-tensor is invariant under the unipotent group generated by I + alpha*J
-exactly when every insertion operator kills it.
+J(f_a) = a*f_{a-1}; every routine here acts by this one operator.  On the
+d-fold tensor power, the ell-fold insertion operator applies J in ell
+distinct slots, summed over ordered tuples of distinct slots (so each
+unordered slot subset contributes ell! times).  A tensor is invariant under
+the unipotent group generated by I + alpha*J exactly when every insertion
+operator kills it.
 
 Tensors are stored sparsely in the f-basis: coords maps an exponent tuple
 (a_1..a_d) in {0..k}^d to a rational coordinate.  The basis routine works in
@@ -20,7 +21,10 @@ dependent skipped.  Only the grades up to kd/2 are solved, because no
 invariant lies above the middle grade (see `_power_sum_kernels`).  For
 (k,d) = (4,5) those grades have 3,492 rows, 1,859 of them dependent; the
 criterion keeps 2,187, 554 of them still dependent.  Every grade would give
-11,200 rows, 8,195 of them dependent.
+11,200 rows, 8,195 of them dependent.  This is the library's one route to
+the basis; the tests hold it against two of their own, the insertion
+kernels intersected grade by grade and one null space of every power-sum
+row on the whole box.
 
 Under f_a <-> Z^a the same power sums, as operators p_m(d/dZ), cut out the
 harmonic kernel of the symmetric-plus-powers ideal, so `_power_sum_kernels`
@@ -44,7 +48,7 @@ from itertools import product
 from math import factorial
 
 from .errors import IndexOutOfRangeError
-from .linalg import graded_kernels, nullspace, rank_of
+from .linalg import graded_kernels, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
@@ -57,19 +61,6 @@ from .polynomials import (
     z_var,
 )
 from .resources import DEFAULT_CAPS, ResourceCaps
-
-
-@dataclass(frozen=True)
-class NilpotentModel:
-    """The shift J(f_a) = a*f_{a-1} on a (k+1)-dimensional space."""
-
-    k: int
-
-    def matrix(self) -> list[list[Fraction]]:
-        m = [[Fraction(0)] * (self.k + 1) for _ in range(self.k + 1)]
-        for a in range(1, self.k + 1):
-            m[a - 1][a] = Fraction(a)
-        return m
 
 
 @dataclass
@@ -138,33 +129,28 @@ class Tensor:
         )
 
 
-def insertion_operator(t: Tensor, ell: int, matrix=None) -> Tensor:
-    """Sum of the operator applied in ell distinct slots, ordered-tuple count.
+def insertion_operator(t: Tensor, ell: int) -> Tensor:
+    """Sum of the shift applied in ell distinct slots, ordered-tuple count.
 
     Each unordered subset of ell slots contributes with multiplicity ell!,
     so the result is ell! * e_ell(J_1..J_d) applied to t, with J_s the
-    operator in slot s.  It is built slot by slot from the recurrence
+    shift in slot s.  It is built slot by slot from the recurrence
     e_l(J_1..J_s) = e_l(J_1..J_(s-1)) + J_s e_(l-1)(J_1..J_(s-1)), which
     merges equal keys after every slot; only the levels l that can still
-    reach ell are kept.  The default operator is the canonical shift.
+    reach ell are kept.
     """
     if not 1 <= ell <= t.d:
         raise IndexOutOfRangeError(f"insertion order {ell} outside 1..{t.d}")
-    if matrix is None:
-        columns = [[(a - 1, a)] if a else [] for a in range(t.k + 1)]
-    else:
-        columns = [
-            [(r, row[a]) for r, row in enumerate(matrix) if row[a]] for a in range(len(matrix))
-        ]
-    # level[l]: e_l of the slot operators seen so far, applied to t
+    # level[l]: e_l of the slot shifts seen so far, applied to t
     level = [t.coords] + [{} for _ in range(ell)]
     for s in range(t.d):
         for l in range(min(ell, s + 1), max(0, ell - t.d + s), -1):
             out = level[l]
             for idx, c in level[l - 1].items():
-                for r, m in columns[idx[s]]:
-                    key = idx[:s] + (r,) + idx[s + 1 :]
-                    out[key] = out.get(key, 0) + c * m
+                a = idx[s]
+                if a:
+                    key = idx[:s] + (a - 1,) + idx[s + 1 :]
+                    out[key] = out.get(key, 0) + c * a
     mult = factorial(ell)
     return Tensor(t.k, t.d, {idx: mult * c for idx, c in level[ell].items() if c})
 
@@ -192,27 +178,19 @@ def expand_one_parameter(t: Tensor, alpha: Fraction) -> Tensor:
     return Tensor(t.k, t.d, dict(coords))
 
 
-def invariant_tensor_basis(
-    k: int, d: int, caps: ResourceCaps | None = None, matrix=None
-) -> list[Tensor]:
+def invariant_tensor_basis(k: int, d: int, caps: ResourceCaps | None = None) -> list[Tensor]:
     """Canonical basis of the joint kernel of all insertion operators.
 
     The insertion operators are ell! * e_ell(J_1..J_d), where J_s is the
-    operator M acting in slot s.  The J_s commute, so by Newton's identities
+    shift acting in slot s.  The J_s commute, so by Newton's identities
     over Q the elementary symmetric functions e_1..e_d and the power sums
     p_m = sum_s J_s^m (m = 1..d) generate the same ideal, and the two
-    operator sets have the same joint kernel.  For the canonical shift J^m
-    lowers the grade (coordinate sum) by m and only m <= min(k, d) gives
-    rows, so the grades are the blocks of `linalg.graded_kernels`, which
-    skips the rows its syzygy criterion shows to be dependent; only the
-    grades up to kd/2 can hold an invariant, and only they are solved (see
-    `_power_sum_kernels`).  The `max_box` cap still sees the whole box.  An
-    explicit operator matrix (e.g. a conjugated shift) need not respect the
-    grading, so the whole box is one block, and its
-    kernel is one null space of every power-sum row: each unit column
-    contributes (M^m)[r][a_s] to the row of p_m at the index with slot s
-    set to r.  Passing the shift itself as a matrix takes this ungraded
-    route, which the tests hold the graded one against.
+    operator sets have the same joint kernel.  J^m lowers the grade
+    (coordinate sum) by m and only m <= min(k, d) gives rows, so the grades
+    are the blocks of `linalg.graded_kernels`, which skips the rows its
+    syzygy criterion shows to be dependent; only the grades up to kd/2 can
+    hold an invariant, and only they are solved (see `_power_sum_kernels`).
+    The `max_box` cap still sees the whole box.
 
     The returned basis is the reduced echelon basis over the box
     coordinates ordered by (grade, index tuple): deterministic and, for
@@ -225,48 +203,18 @@ def invariant_tensor_basis(
     so each block's vectors, reversed, with the blocks in ascending grade,
     are that unique reduced basis.
 
-    Three loops stay apart from the slot-operator routine of
-    `insertion_operator` on purpose: the `lowering` table below, which
-    serves `matrix=` only, and the raising rows of `_power_sum_kernels`,
-    because `insertion_operator` is the oracle these power-sum rows are
-    tested against, and `expand_one_parameter`, the independent side of the
-    one-parameter-expansion property check.
+    Two loops stay apart from `insertion_operator` on purpose: the raising
+    rows of `_power_sum_kernels`, because `insertion_operator` is the oracle
+    these power-sum rows are tested against, and `expand_one_parameter`,
+    the independent side of the one-parameter-expansion property check.
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
-    if matrix is None:
-        return [
-            Tensor(k, d, {columns[col]: c for col, c in vec.items()})
-            for columns, kernel in _power_sum_kernels(k, d, d, descending=True)
-            for vec in reversed(kernel)
-        ]
-
-    # lowering[m-1][a]: the nonzero entries (r, (M^m)[r][a]) of column a of
-    # M^m; built here, not by insertion_operator, which is tested against it
-    lowering = []
-    power = matrix
-    for m in range(1, d + 1):
-        if m > 1:
-            power = [
-                [sum(power[r][t] * matrix[t][a] for t in range(k + 1)) for a in range(k + 1)]
-                for r in range(k + 1)
-            ]
-        lowering.append(
-            [[(r, power[r][a]) for r in range(k + 1) if power[r][a]] for a in range(k + 1)]
-        )
-    # One block, the whole box, with columns in descending (grade, index)
-    # order; rows[m, key][ci] is the coefficient of key in p_m applied to
-    # the unit tensor at columns[ci].
-    columns = sorted(product(range(k + 1), repeat=d), key=lambda t: (sum(t), t), reverse=True)
-    rows: dict = {}
-    for ci, idx in enumerate(columns):
-        for m, by_entry in enumerate(lowering, start=1):
-            for s, a in enumerate(idx):
-                for r, c in by_entry[a]:
-                    row = rows.setdefault((m, idx[:s] + (r,) + idx[s + 1 :]), {})
-                    row[ci] = row.get(ci, 0) + c
-    kernel = nullspace(rows.values(), len(columns))
-    return [Tensor(k, d, {columns[col]: c for col, c in vec.items()}) for vec in reversed(kernel)]
+    return [
+        Tensor(k, d, {columns[col]: c for col, c in vec.items()})
+        for columns, kernel in _power_sum_kernels(k, d, d, descending=True)
+        for vec in reversed(kernel)
+    ]
 
 
 def _power_sum_kernels(k: int, d: int, powers: int, descending: bool) -> list[tuple]:
@@ -320,22 +268,18 @@ def _power_sum_kernels(k: int, d: int, powers: int, descending: bool) -> list[tu
     return list(zip(blocks, graded_kernels(list(map(len, blocks)), min(k, powers), row)))
 
 
-def wronskian(alpha, d: int | None = None, k: int | None = None) -> Poly:
+def wronskian(alpha) -> Poly:
     """Determinant of shifted slot-coordinate columns, as a multilinear poly.
 
+    There are d = len(alpha) slots, and each exponent lies in 0..d-1.
     Column s carries the alpha_s-fold transpose-shift of the coordinate
     vector (Y_s^(0), ..., Y_s^(d-1)); entry in row t is
     t!/(t-alpha_s)! * Y_s^(t-alpha_s) when t >= alpha_s and 0 otherwise.
     """
     alpha = tuple(alpha)
-    if d is None:
-        d = len(alpha)
-    if len(alpha) != d:
-        raise IndexOutOfRangeError(f"need {d} exponents, got {len(alpha)}")
-    if k is None:
-        k = d - 1
-    if any(a < 0 or a > k for a in alpha):
-        raise IndexOutOfRangeError(f"exponents {alpha} outside 0..{k}")
+    d = len(alpha)
+    if any(a < 0 or a >= d for a in alpha):
+        raise IndexOutOfRangeError(f"exponents {alpha} outside 0..{d - 1}")
     matrix = []
     for t in range(d):
         row = []
@@ -396,7 +340,7 @@ def verify_wronskian_basis(d: int, caps: ResourceCaps | None = None) -> Wronskia
     k = d - 1
     caps.check("max_box", (k + 1) ** d)
     tensors = [
-        tensor_from_multilinear(wronskian(a, d), d, k)
+        tensor_from_multilinear(wronskian(a), d, k)
         for a in canonical_wronskian_exponents(d)
     ]
     all_invariant = all(

@@ -160,7 +160,7 @@ class TestBuildGenerator:
         for n, d in ((1, 2), (1, 3), (2, 2)):
             for idx in top_order_nested_indices(n, d):
                 built = build_generator(idx, n, d)
-                tensor = tensor_from_multilinear(wronskian(idx.flat, d), d, d - 1)
+                tensor = tensor_from_multilinear(wronskian(idx.flat), d, d - 1)
                 projected = project_to_symmetric(
                     tensor, composition_to_function(idx.lengths)
                 ).sign_normalized()
@@ -174,10 +174,10 @@ class TestTriangularity:
         # the top-order coefficient of the witness slot's variable
         for idx in top_order_indices(d):
             witness = idx.witness
-            w = wronskian(idx.alpha, d)
+            w = wronskian(idx.alpha)
             coeff = w.coefficient_of(slot_var(witness, d - 1))
             hat = idx.alpha[: witness - 1] + idx.alpha[witness:]
-            smaller = wronskian(hat, d - 1)
+            smaller = wronskian(hat)
             relabel = {}
             for v in smaller.variables():
                 slot = v.i if v.i < witness else v.i + 1

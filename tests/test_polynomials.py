@@ -135,7 +135,7 @@ class TestDeterminant:
 
 class TestCoefficientOf:
     def test_direct_readoff(self):
-        w = wronskian((0, 0), 2)
+        w = wronskian((0, 0))
         assert w.coefficient_of(slot_var(2, 1)) == Poly.variable(slot_var(1, 0))
 
     def test_absent_variable(self):
@@ -149,7 +149,7 @@ class TestCoefficientOf:
         # expanding the 3x3 determinant along its third column: the
         # coefficient of Y3^(2) is the 2x2 principal minor, checked against
         # the brute-force expansion oracle
-        w = wronskian((0, 0, 0), 3)
+        w = wronskian((0, 0, 0))
         matrix = [
             [Poly.variable(slot_var(s, t)) for s in (1, 2, 3)] for t in (0, 1, 2)
         ]

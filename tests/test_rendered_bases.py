@@ -15,9 +15,6 @@ from diffhom.harmonic import Partition, dcp_presentation, ik_presentation, perp_
 from diffhom.jets import JetContext, diff_homog_basis
 from diffhom.tensors import invariant_tensor_basis
 
-# S J S^-1 for the k = 3 shift J and S = [[1,2,-1,1],[0,1,1,-2],[0,0,1,2],[0,0,0,1]]
-CONJUGATED_SHIFT = [[0, 1, 3, -7], [0, 0, 2, -1], [0, 0, 0, 3], [0, 0, 0, 0]]
-
 CASES = {
     "diff_homog_basis(JetContext(1,2,3))": (
         lambda: diff_homog_basis(JetContext(1, 2, 3)).elements,
@@ -34,10 +31,6 @@ CASES = {
     "invariant_tensor_basis(4,5)": (
         lambda: invariant_tensor_basis(4, 5),
         "4c4417c9416328eca9e667e46a7e01bb79ef4c8c915ae9af1156efad90b567e9",
-    ),
-    "invariant_tensor_basis(3,4,matrix=CONJUGATED_SHIFT)": (
-        lambda: invariant_tensor_basis(3, 4, matrix=CONJUGATED_SHIFT),
-        "c91222b7ee7cab4cc0baa6e96a2fa549ed4128c90d9c7c9e792ffaea647adef6",
     ),
     "perp_basis(ik_presentation(5,2),2)": (
         lambda: perp_basis(ik_presentation(5, 2), 2),
