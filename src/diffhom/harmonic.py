@@ -388,7 +388,7 @@ def perp_basis(
     if not powers:
         return _generator_kernel(gens, d, box_bound)
     basis: list[Poly] = []
-    for columns, kernel in _power_sum_kernels(box_bound, d, powers, descending=False):
+    for columns, kernel in _power_sum_kernels(box_bound, d, powers):
         basis += _kernel_polys(columns, kernel)
     return basis
 
@@ -872,11 +872,14 @@ def verify_block_surjectivity(
     basis, and all products over all unordered partitions are collected.
     Reordering within a block only changes basis, and permuting equal-size
     blocks fixes the product, so the products over all d! orderings of the
-    slots are this same family: a shortfall in rank is final.
+    slots are this same family: a shortfall in rank is final.  It has d!/q!
+    members, the slot orderings up to the order of the q equal blocks, and
+    that number is checked against `max_products` before any is built.
     """
     caps = caps or DEFAULT_CAPS
     if d < k + 1:
         raise IndexOutOfRangeError(f"need d >= k+1, got d={d} k={k}")
+    caps.check("max_products", factorial(d) // factorial(d // (k + 1)))
     r = d % (k + 1)
     slots = tuple(range(1, d + 1))
 
@@ -894,7 +897,6 @@ def verify_block_surjectivity(
         for blocks in partitions
         for alphas in product(*(canonical_wronskian_exponents(len(b)) for b in blocks))
     ]
-    caps.check("max_products", len(family))
     rank = rank_of(tensor_from_multilinear(p, d, k).coords for p in family)
     expected = quotient_dimension(d, k, caps)
     return BlockSurjectivityReport(d, k, len(partitions), rank, expected)

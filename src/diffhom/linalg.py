@@ -197,8 +197,10 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
     largest smallest column goes first.  The order changes only the cost:
     on the graded kernels of `jets` and `tensors`, whose criterion-kept
     rows arrive with many equal lengths, the larger-first tie order is the
-    one that measured fastest (invariant_tensor_basis(4,5) about 0.13 s,
-    against 0.15-0.2 s smaller-first, on a shared 2-vCPU machine).  Two
+    one that measured fastest.  Best of 5 on a shared 2-vCPU machine,
+    larger-first / length only / smaller-first: invariant_tensor_basis(4,5)
+    48 / 80 / 202 ms, invariant_tensor_basis(4,6) 0.53 / 0.80 / 8.2 s, and
+    the ik(6,4) kernel of `harmonic.perp_basis` 0.60 / 0.97 / 7.7 s.  Two
     stable sorts, by smallest column descending and then by length, give
     that order without a key tuple per row.
     Vectors stay in integers throughout: the pivot rows are transposed once

@@ -8,11 +8,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffhom import catalog as catalog_module
 from diffhom.catalog import (
     NestedIndex,
     build_catalog,
     build_generator,
     composition_to_function,
+    degree_generation_entry,
     function_to_composition,
     model_class_sizes,
     nested_count_formula,
@@ -23,15 +25,20 @@ from diffhom.catalog import (
     verify_quotient_basis,
     weighted_signature,
 )
-from diffhom.errors import InvalidCompositionError, InvalidIndexError
+from diffhom.errors import InvalidCompositionError, InvalidIndexError, ResourceLimitError
 from diffhom.jets import JetContext, is_diff_homogeneous
 from diffhom.polynomials import Poly, jet_var, slot_var
+from diffhom.resources import ResourceCaps
 from diffhom.spans import rank_modulo
 from diffhom.tensors import (
     project_to_symmetric,
     tensor_from_multilinear,
     wronskian,
 )
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called after the max_products check")
+
 
 X0 = Poly.variable(jet_var(0, 0))
 X1 = Poly.variable(jet_var(1, 0))
@@ -201,6 +208,19 @@ class TestVerification:
     def test_minimality_small(self):
         assert verify_minimality(1, 1).passed
         assert verify_minimality(2, 1).passed
+
+    @pytest.mark.parametrize("n,k,degree", [(1, 1, 4), (1, 2, 5), (2, 2, 3)])
+    def test_generation_products_capped_before_any_is_built(self, n, k, degree, monkeypatch):
+        # one below the number of generator monomials is refused before the
+        # monomials or the invariant basis are built; the number itself passes
+        catalog = build_catalog(n, k)
+        count = len(catalog_module._degree_products(catalog, degree))
+        entry = degree_generation_entry(n, k, degree, ResourceCaps(max_products=count), catalog)
+        assert entry.product_count == count
+        monkeypatch.setattr(catalog_module, "_degree_products", refuse)
+        monkeypatch.setattr(catalog_module, "diff_homog_basis", refuse)
+        with pytest.raises(ResourceLimitError, match=f"max_products: needed {count},"):
+            degree_generation_entry(n, k, degree, ResourceCaps(max_products=count - 1), catalog)
 
     def test_catalog_counts(self):
         assert build_catalog(1, 2).counts() == [2, 1, 2]

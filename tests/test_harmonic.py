@@ -30,9 +30,11 @@ from diffhom.harmonic import (
     verify_dcp_equality,
     verify_spanning,
 )
+from diffhom.errors import ResourceLimitError
 from diffhom.harmonic import IdealPresentation
 from diffhom.linalg import Echelon, nullspace, rank_of
 from diffhom.polynomials import Poly, mono_degree, z_var
+from diffhom.resources import ResourceCaps
 from diffhom.spans import span_rank, spans_equal
 from diffhom.tensors import invariant_tensor_basis, to_harmonic
 
@@ -203,7 +205,7 @@ class TestSolutionSpaces:
                 assert len(perp_basis(ik_presentation(d, k), k)) == quotient_dimension(d, k)
 
     def test_tensor_bridge(self):
-        for k, d in ((1, 2), (1, 3), (2, 3)):
+        for k, d in ((1, 2), (1, 3), (2, 3), (3, 4), (2, 5), (4, 5)):
             images = [to_harmonic(t) for t in invariant_tensor_basis(k, d)]
             kernel = perp_basis(ik_presentation(d, k), k)
             assert spans_equal(images, kernel)
@@ -310,6 +312,29 @@ class TestBlockSurjectivity:
     def test_rejects_short_degrees(self):
         with pytest.raises(Exception):
             verify_block_surjectivity(2, 3)
+
+    @pytest.mark.parametrize("d,k", [(4, 1), (5, 1), (5, 2), (6, 2)])
+    def test_products_capped_before_any_is_built(self, d, k, monkeypatch):
+        # the family has d!/q! members, q = d // (k+1); one below that cap is
+        # refused before the partitions or a product are formed
+        count = factorial(d) // factorial(d // (k + 1))
+        monkeypatch.setattr(harmonic, "_equal_blocks", refuse("_equal_blocks"))
+        monkeypatch.setattr(harmonic, "_block_product", refuse("_block_product"))
+        with pytest.raises(ResourceLimitError, match=f"max_products: needed {count},"):
+            verify_block_surjectivity(d, k, ResourceCaps(max_products=count - 1))
+
+    @pytest.mark.parametrize("d,k", [(4, 1), (5, 1), (4, 3), (5, 2), (6, 2)])
+    def test_product_count_is_the_family_size(self, d, k, monkeypatch):
+        built = []
+        original = harmonic._block_product
+
+        def counting(blocks, alphas):
+            built.append(blocks)
+            return original(blocks, alphas)
+
+        monkeypatch.setattr(harmonic, "_block_product", counting)
+        assert verify_block_surjectivity(d, k).passed
+        assert len(built) == factorial(d) // factorial(d // (k + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from math import factorial
 
 import pytest
 
+from diffhom import tensors
 from diffhom.errors import IndexOutOfRangeError
 from diffhom.harmonic import apply_poly_operator, elementary_symmetric
 from diffhom.jets import JetContext, is_diff_homogeneous
@@ -308,19 +309,29 @@ class TestGradedRouteAgainstWholeBox:
         assert max(grades) <= k * d // 2
 
     def test_criterion_skips_dependent_rows(self, monkeypatch):
-        inserted = []
+        inserted, engine = [], []
         original = Echelon.insert
+        original_kernels = tensors._power_sum_kernels
 
         def counting(self, row):
             inserted.append(original(self, row))
             return inserted[-1]
 
+        def measured(*args):
+            kernels = original_kernels(*args)
+            engine.extend(inserted)
+            inserted.clear()
+            return kernels
+
         monkeypatch.setattr(Echelon, "insert", counting)
+        monkeypatch.setattr(tensors, "_power_sum_kernels", measured)
         assert len(invariant_tensor_basis(4, 5)) == factorial(5)
         # only the grades up to the middle kd/2 = 10 are solved; every p_m row of
         # those would be 3,492 rows, 1,859 of them dependent (11,200 and 8,195
         # over every grade)
-        assert (len(inserted), inserted.count(None)) == (2187, 554)
+        assert (len(engine), engine.count(None)) == (2187, 554)
+        # the per-grade RREF of the kernels inserts each invariant once
+        assert (len(inserted), inserted.count(None)) == (120, 0)
 
 
 class TestWronskian:
