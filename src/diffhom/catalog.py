@@ -305,7 +305,13 @@ class GeneratorCatalog:
 
 
 def build_catalog(n: int, k: int, caps: ResourceCaps | None = None) -> GeneratorCatalog:
+    """The generators of degrees 1..k+1, one determinant per nested index.
+
+    Their number, the sum of the nested-index counts, is checked against
+    `max_products` before any index is enumerated or determinant built.
+    """
     caps = caps or DEFAULT_CAPS
+    caps.check("max_products", sum(nested_count_formula(n, i) for i in range(1, k + 2)))
     families = []
     for degree in range(1, k + 2):
         records = []
@@ -428,20 +434,22 @@ def _degree_products(catalog: GeneratorCatalog, degree: int) -> list[Poly]:
 
 
 def degree_generation_entry(
-    n: int, k: int, degree: int, caps: ResourceCaps | None = None,
-    catalog: GeneratorCatalog | None = None,
+    catalog: GeneratorCatalog, degree: int, caps: ResourceCaps | None = None
 ) -> DegreeGenerationEntry:
-    """Compare the span of degree-d generator monomials with the invariants."""
+    """Compare the span of the catalog's degree-d monomials with the invariants.
+
+    The invariants are those of degree d and order at most the catalog's k,
+    in its n+1 variables.  The monomials are counted against `max_products`
+    before the invariant basis or any monomial is built.
+    """
     caps = caps or DEFAULT_CAPS
-    if catalog is None:
-        catalog = build_catalog(n, k, caps)
     # ways[t]: the generator monomials of degree t, counted before any is built
     ways = [1] + [0] * degree
     for rec in catalog.all_records():
         for t in range(rec.degree, degree + 1):
             ways[t] += ways[t - rec.degree]
     caps.check("max_products", ways[degree])
-    basis = diff_homog_basis(JetContext(n, k, degree), caps)
+    basis = diff_homog_basis(JetContext(catalog.n, catalog.k, degree), caps)
     products = _degree_products(catalog, degree)
     return DegreeGenerationEntry(
         degree=degree,
@@ -457,16 +465,11 @@ def verify_finite_generation(
 ) -> FiniteGenerationReport:
     """Monomials in the catalog generators span every graded invariant space.
 
-    For each degree up to d_max, compares the exact span of all generator
-    monomials of that degree with the independently computed invariant
-    space.
+    One `degree_generation_entry` per degree up to d_max, all read from one
+    catalog.
     """
-    caps = caps or DEFAULT_CAPS
     catalog = build_catalog(n, k, caps)
-    entries = [
-        degree_generation_entry(n, k, degree, caps, catalog)
-        for degree in range(1, d_max + 1)
-    ]
+    entries = [degree_generation_entry(catalog, degree, caps) for degree in range(1, d_max + 1)]
     return FiniteGenerationReport(n, k, entries)
 
 
@@ -492,29 +495,36 @@ class MinimalityReport:
         return all(e.passed for e in self.entries)
 
 
-def verify_minimality(n: int, k: int, caps: ResourceCaps | None = None) -> MinimalityReport:
-    """No generator is a polynomial in the others.
+def degree_minimality_entry(
+    catalog: GeneratorCatalog, degree: int, caps: ResourceCaps | None = None
+) -> MinimalityDegreeEntry:
+    """No generator of the given degree (2..k+1) is a polynomial in the others.
 
     Products of two or more generators with degrees summing to i have every
     factor of order at most its degree minus one, hence order at most i-2;
     independence of the degree-i family modulo the order-(i-2) invariants
-    then rules out any relation that lowers a generator's order.  Each
-    degree's family is the catalog's own, ranked modulo the order-(i-2)
-    invariants of degree i.
+    then rules out any relation that lowers a generator's order.  The
+    catalog's degree-i family is ranked modulo the order-(i-2) invariants of
+    degree i, and its orders must be exactly i-1, with every record of the
+    catalog within the order bound.
     """
-    caps = caps or DEFAULT_CAPS
-    catalog = build_catalog(n, k, caps)
     orders_bounded = all(rec.order <= rec.degree - 1 for rec in catalog.all_records())
-    entries = []
-    for degree in range(2, k + 2):
-        family = catalog.family(degree)
-        lower = diff_homog_basis(JetContext(n, degree - 2, degree), caps).elements
-        independent = rank_modulo([rec.poly for rec in family], lower) == len(family)
-        entries.append(
-            MinimalityDegreeEntry(
-                degree=degree,
-                orders_exact=orders_bounded and all(rec.order == degree - 1 for rec in family),
-                independent_modulo_lower=independent,
-            )
-        )
+    family = catalog.family(degree)
+    lower = diff_homog_basis(JetContext(catalog.n, degree - 2, degree), caps).elements
+    independent = rank_modulo([rec.poly for rec in family], lower) == len(family)
+    return MinimalityDegreeEntry(
+        degree=degree,
+        orders_exact=orders_bounded and all(rec.order == degree - 1 for rec in family),
+        independent_modulo_lower=independent,
+    )
+
+
+def verify_minimality(n: int, k: int, caps: ResourceCaps | None = None) -> MinimalityReport:
+    """No generator is a polynomial in the others.
+
+    One `degree_minimality_entry` per degree 2..k+1, all read from one
+    catalog.
+    """
+    catalog = build_catalog(n, k, caps)
+    entries = [degree_minimality_entry(catalog, degree, caps) for degree in range(2, k + 2)]
     return MinimalityReport(n, k, entries)

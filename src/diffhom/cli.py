@@ -191,6 +191,7 @@ def _cmd_generators(args) -> int:
 def _cmd_verify(args) -> int:
     _at_least(args, N=1, k=0, dmax=1)
     caps = caps_from_env()
+    catalog = cat.build_catalog(args.N, args.k, caps)
     ok = True
     for degree in range(2, args.k + 2):
         report = cat.verify_quotient_basis(args.N, degree, caps)
@@ -199,18 +200,18 @@ def _cmd_verify(args) -> int:
             f"quotient-basis d={degree}: gap {report.full_dimension}-{report.lower_dimension}"
             f" family {report.family_size} -> {'pass' if report.passed else 'FAIL'}"
         )
-    generation = cat.verify_finite_generation(args.N, args.k, args.dmax, caps)
-    for entry in generation.entries:
+    for degree in range(1, args.dmax + 1):
+        entry = cat.degree_generation_entry(catalog, degree, caps)
+        ok = ok and entry.passed
         print(
             f"finite-generation d={entry.degree}: span {entry.rank}"
             f" of {entry.invariant_dimension} -> {'pass' if entry.passed else 'FAIL'}"
         )
-    ok = ok and generation.passed
-    minimality = cat.verify_minimality(args.N, args.k, caps)
-    for entry in minimality.entries:
+    for degree in range(2, args.k + 2):
+        entry = cat.degree_minimality_entry(catalog, degree, caps)
+        ok = ok and entry.passed
         print(f"minimality d={entry.degree}: {'pass' if entry.passed else 'FAIL'}")
-    ok = ok and minimality.passed
-    counts = cat.build_catalog(args.N, args.k, caps).counts()
+    counts = catalog.counts()
     expected = [cat.nested_count_formula(args.N, i) for i in range(1, args.k + 2)]
     print(f"generator counts {counts} expected {expected} -> {'pass' if counts == expected else 'FAIL'}")
     ok = ok and counts == expected
@@ -251,6 +252,8 @@ def _cmd_verify_all(args) -> int:
         cfg, caps=caps_from_env(cfg.caps), output_format=args.format or cfg.output_format
     )
     report = run_suite(cfg)
+    if not report.records:
+        raise ConfigError("the configuration selects no checks")
     rendered = export(report, cfg.output_format, include_timing=args.include_timing)
     sys.stdout.write(rendered)
     if args.out is not None:

@@ -41,6 +41,7 @@ QUOTIENT_TUPLES = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3))
 GENERATION_TRIPLES = ((1, 1, 5), (1, 2, 4), (2, 1, 3))
 MINIMALITY_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 COUNTING_MODEL_DEGREES = (2, 3, 4, 5, 6)
+COUNTING_NESTED_DEGREES = (1, 2, 3, 4, 5)
 COUNTING_NESTED_MAX_N = 3
 
 
@@ -223,41 +224,38 @@ def _counting_rows(d, ns, caps):
         yield _eq(f"N={n}", want, len(cat.top_order_nested_indices(n, d, caps)))
 
 
-def _quotient_basis_rows(d, n, caps, quotient_basis):
-    report = quotient_basis(n, d, caps)
+def _quotient_basis_rows(d, n, caps):
+    report = cat.verify_quotient_basis(n, d, caps)
     gap = report.full_dimension - report.lower_dimension
     computed = f"{report.family_size}+{'basis' if report.passed else 'FAIL'}"
     yield f"N={n}", f"{gap}+basis", computed, report.passed
 
 
-def _generation_rows(d, generation, minimality, caps, quotient_basis):
+def _generation_rows(d, generation, minimality, caps, catalog):
     for n, k in generation:
-        entry = cat.degree_generation_entry(n, k, d, caps)
+        entry = cat.degree_generation_entry(catalog(n, k, caps), d, caps)
         yield f"N={n},k={k}", entry.invariant_dimension, entry.rank, entry.passed
     for n, k in minimality:
         want = cat.nested_count_formula(n, d)
-        got = len(cat.top_order_nested_indices(n, d, caps))
+        got = len(catalog(n, k, caps).family(d))
         signed = dict(cat.weighted_signature(n, k)).get(d) == got
         computed = got if signed else f"{got}!=sig"
         yield f"N={n},k={k}|G{d}|", want, computed, got == want and signed
         if d >= 2:
-            family = cat.build_catalog(n, d - 1, caps).family(d)
-            orders_ok = all(rec.order == d - 1 for rec in family)
-            independent = quotient_basis(n, d, caps).independent
-            minimal = orders_ok and independent
+            minimal = cat.degree_minimality_entry(catalog(n, k, caps), d, caps).passed
             yield f"N={n},k={k}min", "minimal", "minimal" if minimal else "FAIL", minimal
     # the two construction routes (determinant build vs tensor projection) agree
     for n in sorted({n for n, _ in generation + minimality}):
         agree = True
-        for idx in cat.top_order_nested_indices(n, d, caps):
+        for rec in catalog(n, d - 1, caps).family(d):
+            idx = rec.index
             assignment = cat.composition_to_function(idx.lengths)
             agree = agree and cat.function_to_composition(assignment, n) == idx.lengths
-            built = cat.build_generator(idx, n, d)
             projected = ten.project_to_symmetric(
                 ten.tensor_from_multilinear(ten.wronskian(idx.flat), d, d - 1),
                 assignment,
             ).sign_normalized()
-            agree = agree and built == projected
+            agree = agree and rec.poly == projected
         yield f"N={n}routes", "agree", "agree" if agree else "FAIL", agree
 
 
@@ -419,11 +417,11 @@ def build_checks(cfg: SuiteConfig) -> list:
     caps = cfg.caps
     checks: list[_Check] = []
     ns, ds, ks = set(cfg.n_values), set(cfg.d_values), set(cfg.k_values)
-    # Kernels that several checks read (04 and 05; 09 and 10) are computed once
-    # per call.  The caches live only as long as these checks, so every suite
-    # run still does all of its own work.
+    # Kernels and catalogs that several checks read (04 and 05; the rows of 10)
+    # are computed once per call.  The caches live only as long as these
+    # checks, so every suite run still does all of its own work.
     kernel_dimension = cache(_kernel_dimension)
-    quotient_basis = cache(cat.verify_quotient_basis)
+    catalog = cache(cat.build_catalog)
 
     def grouped(criterion, formula, key, items, rows):
         """One check per configured degree over the (d, input value, claim) items."""
@@ -492,8 +490,9 @@ def build_checks(cfg: SuiteConfig) -> list:
         _spanning_rows,
     )
 
-    for d in range(1, 7):
-        counting_ns = sorted(n for n in ns if n <= COUNTING_NESTED_MAX_N) if d <= 5 else []
+    nested_ns = sorted(n for n in ns if n <= COUNTING_NESTED_MAX_N)
+    for d in sorted(set(COUNTING_MODEL_DEGREES + COUNTING_NESTED_DEGREES)):
+        counting_ns = nested_ns if d in COUNTING_NESTED_DEGREES else []
         if d in ds and (d in COUNTING_MODEL_DEGREES or counting_ns):
             checks.append(_Check(
                 f"08-counting/d{d}",
@@ -507,10 +506,11 @@ def build_checks(cfg: SuiteConfig) -> list:
         "nested-index generators induce a basis of the top-order quotient",
         "N",
         [(d, n, n) for n, d in QUOTIENT_TUPLES if n in ns],
-        partial(_quotient_basis_rows, quotient_basis=quotient_basis),
+        _quotient_basis_rows,
     )
 
-    for d in range(1, 6):
+    max_degree = max([dm for *_, dm in GENERATION_TRIPLES] + [k + 1 for _, k in MINIMALITY_PAIRS])
+    for d in range(1, max_degree + 1):
         generation = [
             (n, k) for n, k, dm in GENERATION_TRIPLES if d <= dm and n in ns and k in ks
         ]
@@ -523,7 +523,7 @@ def build_checks(cfg: SuiteConfig) -> list:
                 "generator monomials span; generators are minimal; counts match",
                 {"d": d, "generation": generation, "minimality": minimality},
                 lambda d=d, generation=generation, minimality=minimality: _result(
-                    _generation_rows(d, generation, minimality, caps, quotient_basis)
+                    _generation_rows(d, generation, minimality, caps, catalog)
                 ),
             ))
 

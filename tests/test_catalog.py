@@ -215,12 +215,23 @@ class TestVerification:
         # monomials or the invariant basis are built; the number itself passes
         catalog = build_catalog(n, k)
         count = len(catalog_module._degree_products(catalog, degree))
-        entry = degree_generation_entry(n, k, degree, ResourceCaps(max_products=count), catalog)
+        entry = degree_generation_entry(catalog, degree, ResourceCaps(max_products=count))
         assert entry.product_count == count
         monkeypatch.setattr(catalog_module, "_degree_products", refuse)
         monkeypatch.setattr(catalog_module, "diff_homog_basis", refuse)
         with pytest.raises(ResourceLimitError, match=f"max_products: needed {count},"):
-            degree_generation_entry(n, k, degree, ResourceCaps(max_products=count - 1), catalog)
+            degree_generation_entry(catalog, degree, ResourceCaps(max_products=count - 1))
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 3), (2, 2), (3, 2)])
+    def test_catalog_capped_before_any_index_is_enumerated(self, n, k, monkeypatch):
+        # the generator count is checked before any index or determinant is
+        # built; the count itself passes
+        count = sum(build_catalog(n, k).counts())
+        assert len(build_catalog(n, k, ResourceCaps(max_products=count)).all_records()) == count
+        monkeypatch.setattr(catalog_module, "top_order_nested_indices", refuse)
+        monkeypatch.setattr(catalog_module, "build_generator", refuse)
+        with pytest.raises(ResourceLimitError, match=f"max_products: needed {count},"):
+            build_catalog(n, k, ResourceCaps(max_products=count - 1))
 
     def test_catalog_counts(self):
         assert build_catalog(1, 2).counts() == [2, 1, 2]

@@ -125,6 +125,23 @@ def test_verify_command(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_command_builds_one_catalog(capsys, monkeypatch):
+    from diffhom import catalog
+
+    built = []
+    original = catalog.build_catalog
+
+    def counting(n, k, caps=None):
+        built.append((n, k))
+        return original(n, k, caps)
+
+    monkeypatch.setattr(catalog, "build_catalog", counting)
+    code, out, _ = run_cli(capsys, "verify", "--N", "1", "--k", "2", "--dmax", "3")
+    assert code == 0
+    assert "minimality d=3: pass" in out
+    assert built == [(1, 2)]
+
+
 def test_sigma(capsys):
     code, out, _ = run_cli(capsys, "sigma", "--d", "3", "--N", "1")
     assert code == 0
@@ -218,6 +235,17 @@ def test_verify_all_strict_passes_without_skips(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify-all", "--config", str(cfg), "--strict")
     assert code == 0
     assert " 0 skipped" in out
+
+
+@pytest.mark.parametrize("data", [{"d_values": [0]}, {"d_values": [7, 8]}])
+@pytest.mark.parametrize("strict", [False, True])
+def test_verify_all_selecting_no_check_exits_2(capsys, tmp_path, data, strict):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify-all", "--config", str(cfg), *["--strict"] * strict)
+    assert code == 2
+    assert out == ""
+    assert err == "configuration error: the configuration selects no checks\n"
 
 
 def test_verify_all_bad_config(capsys, tmp_path):
@@ -324,11 +352,14 @@ def test_out_of_range_options_exit_2(capsys, argv):
         ("harmonic", "--d", "18", "--k", "1"),
         ("harmonic", "--d", "20", "--k", "0"),
         ("dcp", "--d", "20", "--k", "1"),
+        ("generators", "--N", "9", "--k", "9"),
+        ("verify", "--N", "9", "--k", "9", "--dmax", "2"),
     ],
 )
 def test_oversized_presentations_exit_2_before_they_are_built(argv):
-    # the presentations hold up to 2^d and 3^d terms; a cap checked only
-    # after they are built takes minutes to fire, or never fires (box 1)
+    # the presentations hold up to 2^d and 3^d terms, the (9,9) catalog
+    # 5,000,000,005 generators; a cap checked only after they are built takes
+    # minutes to fire, or never fires (box 1)
     src = str(Path(diffhom.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if not k.startswith("DIFFHOM_")}

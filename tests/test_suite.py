@@ -184,3 +184,44 @@ def test_default_suite_passes_everywhere():
     assert report.exit_code == 0
     digest = hashlib.sha256(export_json(report).encode()).hexdigest()
     assert digest == DEFAULT_EXPORT_SHA256
+
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("check 10 ranked a quotient basis")
+
+
+def test_default_suite_builds_each_catalog_once(monkeypatch):
+    from diffhom import catalog
+
+    built = []
+    original = catalog.build_catalog
+
+    def counting(n, k, caps=None):
+        built.append((n, k))
+        return original(n, k, caps)
+
+    monkeypatch.setattr(catalog, "build_catalog", counting)
+    run_suite(SuiteConfig())
+    assert built and len(built) == len(set(built))
+    # check 10 reads minimality from the catalog, not from the quotient basis
+    monkeypatch.setattr(catalog, "verify_quotient_basis", refuse)
+    checks = [c for c in build_checks(SuiteConfig()) if c.check_id.startswith("10-")]
+    assert checks and all(check.runner()[2] for check in checks)
+
+
+def test_minimality_rows_are_the_catalog_entries():
+    from diffhom import catalog, suite
+
+    rows = {}
+    for check in build_checks(SuiteConfig()):
+        if check.check_id.startswith("10-"):
+            for row in check.runner()[1].split("; "):
+                label, value = row.split(":")
+                if label.endswith("min"):
+                    rows[label, check.inputs["d"]] = value
+    expected = {}
+    for n, k in suite.MINIMALITY_PAIRS:
+        for entry in catalog.verify_minimality(n, k).entries:
+            expected[f"N={n},k={k}min", entry.degree] = "minimal" if entry.passed else "FAIL"
+    assert rows == expected
