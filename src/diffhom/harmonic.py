@@ -52,6 +52,9 @@ and so every kernel vector and membership verdict, is unchanged.  A
 membership window is one degree of a homogeneous presentation; an
 inhomogeneous presentation is homogenized with an extra variable Z_0
 first, which keeps every bounded-degree verdict (see _membership_test).
+A target that is a nonzero multiple of a generator is certified by that
+one product and builds no window, so the e_1..e_d that both presentations
+of verify_dcp_equality hold cost one set lookup each.
 The quotient route ranks every landing pair on purpose, so that it stays
 an independent second computation of each dimension; it also keeps the
 whole box, where both kernel routes drop the columns above the middle
@@ -61,6 +64,7 @@ degree once e_1, or any linear form with full support, is a generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, factorial, prod
 from operator import add, le, sub
@@ -579,7 +583,9 @@ def ideal_membership(
     An inhomogeneous presentation is homogenized with an extra variable Z_0,
     and p, homogenized to degree degree_cap, is tested in that one degree:
     setting Z_0 = 1 maps that degree of the homogenized ideal one to one
-    onto the bounded span.
+    onto the bounded span.  A p that is c*g for a generator g and a
+    rational c != 0 is certified at once when deg g <= degree_cap, by the
+    single product 1*g, which is the same verdict.
     """
     caps = caps or DEFAULT_CAPS
     if degree_cap is None:
@@ -602,6 +608,13 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
     deg(m*g) <= cap, and each verdict is that of the bounded span.  The
     product counts agree too: sum over g of C(cap - deg g + d, d).
 
+    Before any window, p is compared with the generators up to a nonzero
+    rational factor, by one lookup of its _ray in the rays of the
+    generators, built once per test.  If p = c*g, its degree is deg g <=
+    cap, so the product 1*g alone is an exact certificate, on both paths;
+    the window of deg p would contain p too, so every verdict is unchanged,
+    and a degree that only generators reach is never built.
+
     The echelon of a degree is built the first time a polynomial needs it
     and reused for every later one.  `max_products` is checked against the
     family of the needed degree before anything is built; the lower degrees
@@ -616,6 +629,7 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
     """
     d = presentation.nvars
     gens = [(g.total_degree(), _z_exponents(g, d)) for g in presentation.generators]
+    generator_rays = {_ray(terms) for _, terms in gens if terms}
     homogenize = not all(g.is_homogeneous(gd) for g, (gd, _) in zip(presentation.generators, gens))
     if homogenize:
         gens = [(gd, [((gd - sum(e),) + e, c) for e, c in terms]) for gd, terms in gens]
@@ -641,6 +655,8 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
         p_terms = _z_exponents(p, d)  # also validates the variable universe
         if max(sum(exp) for exp, _ in p_terms) > degree_cap:
             return False
+        if _ray(p_terms) in generator_rays:
+            return True  # p = c*g with deg g = deg p <= cap: the product 1*g
         targets: dict[int, dict] = {}
         for exp, c in p_terms:
             if homogenize:
@@ -653,6 +669,16 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
         return True
 
     return member
+
+
+def _ray(terms) -> frozenset:
+    """The terms (exponent, coefficient) of a nonzero polynomial up to a nonzero factor.
+
+    Each coefficient is divided by that of the least exponent, so p and c*p
+    have the same ray for every rational c != 0, and no other polynomial has.
+    """
+    lead = min(terms)[1]
+    return frozenset((exp, Fraction(c, lead)) for exp, c in terms)
 
 
 def _window(gens, d: int, t: int, lower: dict) -> tuple:

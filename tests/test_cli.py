@@ -62,6 +62,20 @@ def test_dcp(capsys):
     assert "ideals coincide" in out
 
 
+def test_dcp_below_every_generator_degree(capsys):
+    # at cap 0 no generator is certified, not even one that lies in both ideals
+    code, out, _ = run_cli(capsys, "dcp", "--d", "3", "--k", "1", "--cap", "0")
+    assert code == 1
+    forward = "  not certified in partial-symmetric ideal: "
+    backward = "  not certified in symmetric-plus-powers ideal: "
+    e = ["Z1 + Z2 + Z3", "Z1*Z2 + Z1*Z3 + Z2*Z3", "Z1*Z2*Z3"]
+    assert out.splitlines() == [
+        "d=3 k=1 (partition (1,2), degree cap 0)",
+        *(forward + g for g in e + ["Z1^2", "Z2^2", "Z3^2"]),
+        *(backward + g for g in ["Z1*Z2", "Z1*Z3", "Z2*Z3"] + e),
+    ]
+
+
 def test_harmonic_json_report(capsys):
     code, out, _ = run_cli(capsys, "harmonic", "--d", "3", "--k", "1", "--json")
     assert code == 0
@@ -345,6 +359,20 @@ def test_out_of_range_options_exit_2(capsys, argv):
     assert "must be at least" in err
 
 
+def run_module_within_10s(*argv):
+    """`python -m diffhom argv` in a fresh process without DIFFHOM_* caps."""
+    src = str(Path(diffhom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DIFFHOM_")}
+    return subprocess.run(
+        [sys.executable, "-m", "diffhom", *argv],
+        env={**env, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -360,20 +388,19 @@ def test_oversized_presentations_exit_2_before_they_are_built(argv):
     # the presentations hold up to 2^d and 3^d terms, the (9,9) catalog
     # 5,000,000,005 generators; a cap checked only after they are built takes
     # minutes to fire, or never fires (box 1)
-    src = str(Path(diffhom.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("DIFFHOM_")}
-    done = subprocess.run(
-        [sys.executable, "-m", "diffhom", *argv],
-        env={**env, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
+    done = run_module_within_10s(*argv)
     assert done.returncode == 2
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error: max_")
+
+
+def test_dcp_at_d8_finishes_within_seconds():
+    # e_1..e_8 lie in both ideals and are certified as generators, without
+    # their degree windows, which take over 12 s to build
+    done = run_module_within_10s("dcp", "--d", "8", "--k", "3", "--json")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["status"] == "pass"
 
 
 FUZZ_OPTIONS = {

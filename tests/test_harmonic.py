@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import factorial
@@ -152,13 +153,18 @@ class TestMembership:
         monkeypatch.setattr(harmonic, "_window", recording)
         assert verify_dcp_equality(6, 2).passed
         # the ik generators are tested in the dcp ideal and the other way
-        # round; each side reads degrees 1..6, and the degree-1 window reads
-        # the (empty) degree-0 window for its pivot columns
+        # round; e_1..e_6 are generators of both, so no window is built for
+        # them, and the dcp side reads degrees 0..3 (for the Z_i^3) and the
+        # ik side 0..5; the degree-1 window reads the (empty) degree-0 window
+        # for its pivot columns
         by_presentation: dict = {}
         for gens, t in built:
             by_presentation.setdefault(id(gens), []).append(t)
-        assert len(built) == 14
-        assert [sorted(degrees) for degrees in by_presentation.values()] == [list(range(7))] * 2
+        assert len(built) == 10
+        assert [sorted(degrees) for degrees in by_presentation.values()] == [
+            list(range(4)),
+            list(range(6)),
+        ]
 
     @pytest.mark.parametrize(
         "cap,verdicts",
@@ -652,6 +658,17 @@ def member_by_all_products(p, presentation):
     return ech.contains(row(p))
 
 
+def near_generators(gens):
+    """Each generator g, -2/3*g, and g with one term doubled: the one-term
+    certificate must take the first two and only the ones of the last that
+    are multiples of g (a g of one term)."""
+    out = []
+    for g in gens:
+        mono, c = min(g.terms.items())
+        out += [g, Fraction(-2, 3) * g, g + Poly({mono: c})]
+    return out
+
+
 @st.composite
 def homogeneous_cases(draw):
     d = draw(st.integers(1, 3))
@@ -662,6 +679,7 @@ def homogeneous_cases(draw):
     targets = draw(st.lists(sparse_polys(d, [draw(st.integers(0, 5))]), min_size=1, max_size=3))
     # multiples of the generators, so that members occur
     targets += [g * draw(sparse_polys(d, [draw(st.integers(0, 2))])) for g in gens]
+    targets += near_generators(gens)
     return IdealPresentation(d, tuple(gens), "random"), targets
 
 
@@ -729,6 +747,7 @@ def inhomogeneous_cases(draw):
     targets = draw(st.lists(sparse_polys(d, range(7)), min_size=1, max_size=3))
     # multiples of the generators, so that members occur
     targets += [g * draw(sparse_polys(d, range(3))) for g in gens]
+    targets += near_generators(gens)
     # top-degree parts cancel here, so a certificate needs products of a
     # higher degree than the target's own
     a, b = gens[0], gens[-1]
@@ -750,8 +769,37 @@ def test_homogenized_membership_matches_bounded_products(case, cap):
     assert [ideal_membership(p, pres, cap) for p in targets] == expected
 
 
+@pytest.mark.parametrize("d,k", [(3, 1), (4, 1), (4, 2), (5, 2)])
+def test_equality_reports_match_all_products_at_every_cap(d, k):
+    # the oracle builds no window and has no one-term certificate
+    ik = ik_presentation(d, k)
+    dcp = dcp_presentation(balanced_partition(d, k))
+    forward = [(g, member_by_all_products(g, dcp)) for g in ik.generators]
+    backward = [(g, member_by_all_products(g, ik)) for g in dcp.generators]
+    for cap in range(d * (k + 1) + 1):
+        report = verify_dcp_equality(d, k, cap)
+        for got, verdicts in (
+            (report.uncertified_forward, forward),
+            (report.uncertified_backward, backward),
+        ):
+            expected = [g.render() for g, ok in verdicts if not (g.total_degree() <= cap and ok)]
+            assert got == expected
+
+
+def test_generator_above_the_cap_is_not_certified():
+    e3 = elementary_symmetric(range(1, 4), 3)
+    assert ideal_membership(e3, ik_presentation(3, 1), 3)
+    assert not ideal_membership(e3, ik_presentation(3, 1), 2)
+    assert not ideal_membership(Fraction(-2, 3) * e3, ik_presentation(3, 1), 2)
+    # the homogenized path: deg(Z1 + Z1^2) = 2
+    pres = IdealPresentation(2, (Z1 + Z1**2, Z2), "custom")
+    assert ideal_membership(Fraction(-2, 3) * (Z1 + Z1**2), pres, 2)
+    assert not ideal_membership(Fraction(-2, 3) * (Z1 + Z1**2), pres, 1)
+
+
 def test_pruned_membership_inserts_fewer_rows(monkeypatch):
     inserted = count_inserts(monkeypatch)
     assert verify_dcp_equality(6, 2).passed
-    # every product in the fourteen degree windows would be 2,802 rows
-    assert len(inserted) == 2098
+    # every product in the ten degree windows would be 540 rows
+    assert len(inserted) == 454
+    assert sum(pivot is None for _, pivot in inserted) == 37
