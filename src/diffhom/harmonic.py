@@ -40,7 +40,11 @@ from the pairs that land: a generator term Z^q meets exactly the monomials
 of the box shifted by q, so each term walks that shifted box instead of
 being tried against every box monomial.  The two routes keep separate
 loops, so a slip in one cannot hide in the other; `apply_poly_operator`
-stays the plain operator on whole polynomials.
+stays the plain operator on whole polynomials.  The quotient route numbers
+the box monomials by their mixed-radix index in base box_bound+1, under
+which a shift that stays in the box is an integer addition, and hands its
+rows to `rank_of` in any order.  Both kernel routes build each kernel
+polynomial with its terms already in render order.
 
 The generic kernel route and the membership windows skip most dependent
 rows before elimination with a syzygy criterion (the matrix form of
@@ -67,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, factorial, prod
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .errors import IndexOutOfRangeError
 from .linalg import Echelon, rank_of
@@ -75,9 +79,11 @@ from .polynomials import (
     Poly,
     Z_VAR,
     _coeff,
+    _wrap,
     compositions,
     determinant,
     falling_factorial,
+    mono_sort_key,
     slot_var,
     z_var,
 )
@@ -418,9 +424,20 @@ def _power_sums_of(gens, d: int, box_bound: int) -> int:
 
 
 def _kernel_polys(columns: list, kernel: list) -> list[Poly]:
-    """Kernel vectors over the exponent-tuple columns, as polynomials."""
-    monos = [_z_monomial(b) for b in columns]
-    return [Poly({monos[ci]: val for ci, val in vec.items()}) for vec in kernel]
+    """Kernel vectors over the exponent-tuple columns, as polynomials.
+
+    The columns are ranked once in render order, so each polynomial is built
+    with its terms already in the order `Poly.render` prints them.
+    """
+    zs = [z_var(i + 1) for i in range(len(columns[0]) if columns else 0)]
+    # Z_1 < Z_2 < ... in the variable order, so each monomial comes out sorted
+    monos = [tuple([(z, e) for z, e in zip(zs, b) if e]) for b in columns]
+    order = sorted(range(len(monos)), key=lambda ci: mono_sort_key(monos[ci]))
+    rank = {ci: position for position, ci in enumerate(order)}
+    return [
+        _wrap({monos[ci]: vec[ci] for ci in sorted(vec, key=rank.__getitem__)})
+        for vec in kernel
+    ]
 
 
 def _generator_kernel(gens, d: int, box_bound: int) -> list[Poly]:
@@ -512,25 +529,32 @@ def _box_quotient_dimension(
     Z_i^(box_bound+1); the ideal must contain those powers for the answer
     to equal the dimension of the full quotient ring.
 
-    Only the products that land in the box are formed: a generator term
-    c*Z^e contributes to the row of m*g exactly when m_i <= box_bound - e_i,
-    so each term walks the box shifted by e.  Rows (m, generator) are
-    ranked in monomial-major, generator-minor order, and empty rows are
-    dropped.  The callers check `max_box` before they build the generators.
+    A box monomial Z^m is the column of its mixed-radix index
+    sum m_i (box_bound+1)^(d-1-i).  A product Z^m*Z^e that stays in the
+    box carries no digit, so index(m+e) = index(m) + index(e).  Only the
+    products that land in the box are formed: a generator term c*Z^e
+    contributes to the row of m*g exactly when m_i <= box_bound - e_i, so
+    each term lists the indices of the box shifted by e, one comprehension
+    per coordinate, and adds c at index(m) + index(e) in the row of each.
+    Every landing pair is ranked; the rows go to `rank_of` in any order.
+    The callers check `max_box` before they build the generators.
     """
-    cols = _box_columns(d, box_bound)
+    size = (box_bound + 1) ** d
     gen_terms = [_z_exponents(g, d) for g in generators]
-    caps.check("max_products", len(cols) * max(1, len(gen_terms)))
-    col_index = {b: i for i, b in enumerate(cols)}
-    rows: dict = {}
-    for gi, terms in enumerate(gen_terms):
+    caps.check("max_products", size * max(1, len(gen_terms)))
+    place = [(box_bound + 1) ** (d - 1 - i) for i in range(d)]
+    rows: list = []
+    for terms in gen_terms:
+        by_multiplier: dict = {}
         for e, c in terms:
-            for m in product(*(range(box_bound - x + 1) for x in e)):
-                key = (col_index[m], gi)
-                if key not in rows:
-                    rows[key] = {}
-                rows[key][col_index[tuple(map(add, m, e))]] = c
-    return len(cols) - rank_of(rows[key] for key in sorted(rows))
+            shifted = [0]
+            for x, p in zip(e, place):
+                shifted = [s + j for s in shifted for j in range(0, (box_bound - x) * p + 1, p)]
+            target = sum(map(mul, e, place))
+            for m in shifted:
+                by_multiplier.setdefault(m, {})[m + target] = c
+        rows += by_multiplier.values()
+    return size - rank_of(rows)
 
 
 def quotient_dimension(d: int, k: int, caps: ResourceCaps | None = None) -> int:
@@ -817,15 +841,29 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     distinct terms stay distinct after the same derivative, so one pass over
     the divisors of every term builds the whole family as rows keyed by
     exponent tuples.
+
+    The family's size is known before any of it is built.  A column of
+    length l contributes the l! terms of its Vandermonde, whose exponents
+    are the permutations of 0..l-1; their divisors are the l-tuples whose
+    sorted entries are at most 0, 1, ..., l-1, the (l+1)^(l-1) parking
+    functions of length l.  Columns hold disjoint variables, so each product
+    has the product of those counts as divisors, and `max_products` is
+    checked against that count times the number of tableaux before any
+    Vandermonde is built.
     """
     caps = caps or DEFAULT_CAPS
     mu = mu if isinstance(mu, Partition) else Partition.of(mu)
     d = mu.d
     tableaux = enum_standard_tableaux(mu, caps)
+    presentation = dcp_presentation(mu, caps)
+    caps.check(
+        "max_products",
+        len(tableaux) * prod((n + 1) ** (n - 1) for n in mu.conjugate().nonzero),
+    )
     deltas = [_z_exponents(tableau_vandermonde(t), d) for t in tableaux]
     # each Z_e sits in one column, so its exponent is below the column length
     weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(d)]
-    gen_terms = [_z_exponents(g, d) for g in dcp_presentation(mu, caps).generators]
+    gen_terms = [_z_exponents(g, d) for g in presentation.generators]
     annihilated = all(_kills(terms, deltas, weight) for terms in gen_terms)
     family = []
     for delta in deltas:
@@ -838,7 +876,6 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
                         value *= weight[e][f]
                 images.setdefault(a, {})[tuple(map(sub, exp, a))] = value
         family += images.values()
-    caps.check("max_products", len(family))
     rank = rank_of(family)
     k = matching_order(mu)
     if k is not None:

@@ -61,7 +61,7 @@ from .errors import IndexOutOfRangeError, UnsupportedVariableError
 # nullspace is unused here, but bench/test_harness.py checks that the tracer
 # patches this `from .linalg import` binding; drop both together
 from .linalg import graded_kernels, nullspace  # noqa: F401
-from .polynomials import JET_X, Poly, VarId, jet_var, series_coeff
+from .polynomials import JET_X, Poly, VarId, _wrap, jet_var, series_coeff
 from .resources import DEFAULT_CAPS, ResourceCaps
 
 
@@ -198,8 +198,10 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
 
     basis = InvariantBasis(ctx)
     for w, kernel in enumerate(graded_kernels(list(map(len, columns)), ctx.k, row)):
+        col = columns[w]
         for vi, vec in enumerate(kernel):
-            basis.elements.append(Poly({columns[w][ci]: val for ci, val in vec.items()}))
+            # col is in render order (block.sort above), so are the terms
+            basis.elements.append(_wrap({col[ci]: vec[ci] for ci in sorted(vec)}))
             basis.provenance.append(f"w{w}/v{vi}")
     return basis
 

@@ -19,6 +19,9 @@ deterministic, which the golden-file tests rely on.  `leads` reads the pivot
 columns found so far, in the order they were found, without building the
 RREF; a caller that fills an Echelon row by row can consult them to skip rows
 it knows to be dependent, and then read the canonical kernel with `kernel`.
+`rank_of` and `nullspace` take a batch of rows in any order and eliminate
+them by descending smallest key, ties by descending largest key, which keeps
+the forward echelon close to reduced (see `_descending_leads`).
 
 `graded_kernels` is the shared engine of the graded invariant spaces (the
 jet invariants and the invariant tensors): on each block of a graded space
@@ -182,8 +185,26 @@ def echelon_of(rows: Iterable[Mapping[int, object]]) -> Echelon:
     return Echelon().extend(rows)
 
 
+def _descending_leads(rows: Iterable[Mapping[int, object]]) -> list:
+    """The nonempty rows, by smallest key descending, ties by largest key descending.
+
+    The order in which `rank_of` and `nullspace` eliminate a batch.  Each
+    stored pivot then lies at or above the incoming row's smallest key, and
+    a stored row has no entry left of its own pivot.  So a row whose
+    smallest key is new becomes a pivot there that no stored row reaches
+    into: the forward echelon stays reduced, and only a row reduced past a
+    smallest key it shares with an earlier row can leave back-substitution
+    for `pivots`.  Two stable sorts give the order without a key tuple per
+    row.
+    """
+    ordered = sorted((row for row in rows if row), key=max, reverse=True)
+    ordered.sort(key=min, reverse=True)
+    return ordered
+
+
 def rank_of(rows: Iterable[Mapping[int, object]]) -> int:
-    return echelon_of(rows).rank
+    """Rank of the rows, which may come in any order (see `_descending_leads`)."""
+    return echelon_of(_descending_leads(rows)).rank
 
 
 def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
@@ -192,27 +213,22 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
     Returns one primitive integer vector per free column, ordered by the
     free column index, with a positive entry at the free column.  This is
     the reduced-echelon kernel basis, hence deterministic, whatever order
-    the rows come in.  They are eliminated shortest first, which keeps a
-    sparse system close to triangular, and among rows of one length the
-    largest smallest column goes first.  The order changes only the cost:
-    on the graded kernels of `jets` and `tensors`, whose criterion-kept
-    rows arrive with many equal lengths, the larger-first tie order is the
-    one that measured fastest.  Best of 5 on a shared 2-vCPU machine,
-    larger-first / length only / smaller-first: invariant_tensor_basis(4,5)
-    48 / 80 / 202 ms, invariant_tensor_basis(4,6) 0.53 / 0.80 / 8.2 s, and
-    the ik(6,4) kernel of `harmonic.perp_basis` 0.60 / 0.97 / 7.7 s.  Two
-    stable sorts, by smallest column descending and then by length, give
-    that order without a key tuple per row.
+    the rows come in.  They are eliminated in the order of
+    `_descending_leads`, largest smallest key first; the order changes only
+    the cost.  Counted as the row entries `_eliminate` updates or rescales,
+    shortest-first (ties by the larger smallest key) / this order: the
+    ik(7,2) kernel of `harmonic.perp_basis` 197k / 139k, the nullspace
+    calls of one `harmonic-box` benchmark pass 224k / 161k and of one
+    `verify-default` pass 85k / 68k, and those of one `invariants` pass 9k
+    either way.
     Vectors stay in integers throughout: the pivot rows are transposed once
     into a map column -> [(pivot, lead, value)], and each vector is scaled
     by the lcm of the leads it meets before its content is stripped.
     """
-    ordered = sorted((row for row in rows if row), key=min, reverse=True)
-    ordered.sort(key=len)
     # passing the RREF rather than the echelon frees the echelon before the
     # vectors are built, which keeps about 0.4 MB off the peak RSS of the
     # jet-invariant benchmark workload
-    return _kernel(echelon_of(ordered).pivots, ncols)
+    return _kernel(echelon_of(_descending_leads(rows)).pivots, ncols)
 
 
 def graded_kernels(

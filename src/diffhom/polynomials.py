@@ -32,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -87,7 +88,7 @@ Monomial = tuple  # tuple[tuple[VarId, int], ...], sorted by VarId
 
 
 def mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
+    return sum(map(itemgetter(1), mono))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -106,13 +107,20 @@ def mono_sort_key(mono: Monomial):
     return (mono_degree(mono), mono)
 
 
+# (VarId, exponent) -> its factor text; bounded by the variables in use
+_FACTOR_TEXT: dict = {}
+
+
+def _factor_text(pair: tuple) -> str:
+    v, e = pair
+    text = _FACTOR_TEXT[pair] = v.render() if e == 1 else f"{v.render()}^{e}"
+    return text
+
+
 def mono_render(mono: Monomial) -> str:
     if not mono:
         return "1"
-    factors = []
-    for v, e in mono:
-        factors.append(v.render() if e == 1 else f"{v.render()}^{e}")
-    return "*".join(factors)
+    return "*".join([_FACTOR_TEXT.get(pair) or _factor_text(pair) for pair in mono])
 
 
 def render_terms(terms) -> str:

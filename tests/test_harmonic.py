@@ -198,7 +198,18 @@ class TestSolutionSpaces:
         assert spans_equal(basis, [Poly.constant(1), Z1 - Z2])
 
     @pytest.mark.parametrize(
-        "d,k,expected", [(2, 1, 2), (3, 1, 3), (4, 1, 6), (3, 2, 6), (5, 2, 30)]
+        "d,k,expected",
+        [
+            (2, 1, 2),
+            (3, 1, 3),
+            (4, 1, 6),
+            (3, 2, 6),
+            (5, 2, 30),
+            (5, 3, 60),
+            (8, 1, 70),
+            (6, 2, 90),
+            (3, 0, 1),
+        ],
     )
     def test_dimensions(self, d, k, expected):
         assert len(perp_basis(ik_presentation(d, k), k)) == expected
@@ -284,6 +295,13 @@ class TestSpanning:
         report = verify_spanning(Partition.of((1, 3)))
         assert report.route == "quotient"
         assert report.passed
+
+    def test_family_capped_before_any_vandermonde(self, monkeypatch):
+        # 14 tableaux, and 5^3 parking functions for each of the two columns
+        monkeypatch.setattr(harmonic, "tableau_vandermonde", refuse("tableau_vandermonde"))
+        monkeypatch.setattr(harmonic, "_kills", refuse("_kills"))
+        with pytest.raises(ResourceLimitError, match="max_products: needed 218750,"):
+            verify_spanning(Partition.of((2, 2, 2, 2)))
 
     def test_symmetric_difference_recurrence(self):
         rng = random.Random(5)
@@ -470,7 +488,12 @@ class TestBoxRoutesAgainstAllPairs:
         gens = dcp_presentation(mu).generators
         assert dcp_quotient_dimension(mu) == quotient_by_all_pairs(gens, mu.d, mu.d - 1)
 
-    @pytest.mark.parametrize("mu", [mu for d in range(1, 6) for mu in all_partitions(d)], ids=str)
+    @pytest.mark.parametrize(
+        "mu",
+        [mu for d in range(1, 6) for mu in all_partitions(d)]
+        + [Partition.of((3, 3)), Partition.of((2, 2, 2))],
+        ids=str,
+    )
     def test_spanning_family(self, mu, monkeypatch):
         # the derivative family is the first set of rows verify_spanning ranks
         ranked = []
@@ -488,8 +511,16 @@ class TestBoxRoutesAgainstAllPairs:
         annihilated, expected = spanning_by_operators(mu)
         assert report.annihilated == annihilated
         assert report.rank == span_rank(expected)
-        assert len(family) == len(expected)  # the size the max_products cap sees
+        assert len(family) == len(expected) == spanning_family_size(mu)
         assert spans_equal(family, expected)
+
+
+def spanning_family_size(mu):
+    """The size the max_products cap sees: tableaux times parking functions per column."""
+    size = len(enum_standard_tableaux(mu))
+    for length in mu.conjugate().nonzero:
+        size *= (length + 1) ** (length - 1)
+    return size
 
 
 def generic_perp_basis(presentation, bound):

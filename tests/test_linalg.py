@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffhom.linalg import Echelon, echelon_of, graded_kernels, int_row, nullspace
+from diffhom.linalg import Echelon, echelon_of, graded_kernels, int_row, nullspace, rank_of
 
 
 def test_int_row_clears_denominators():
@@ -247,6 +247,27 @@ def test_lazy_echelon_matches_dense_oracle_between_operations(ops, key_kind):
             for row in inserted:
                 assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
     assert ech.pivots == _oracle_pivots(inserted, key)
+
+
+@st.composite
+def rows_with_repeats(draw):
+    """A row list with some rows repeated and some empty or all-zero rows."""
+    rows = draw(st.lists(sparse_rows, max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    rows += draw(st.lists(st.sampled_from([{}, {0: 0}, {NCOLS - 1: 0, 2: 0}]), max_size=3))
+    return rows
+
+
+@given(rows_with_repeats(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_batch_results_are_independent_of_row_order(rows, data):
+    shuffled = data.draw(st.permutations(rows))
+    expected = _oracle_pivots(rows, KEYS["int"])
+    assert rank_of(shuffled) == rank_of(rows) == len(expected)
+    kernel = nullspace(rows, NCOLS)
+    assert nullspace(shuffled, NCOLS) == kernel
+    assert len(kernel) == NCOLS - len(expected)
 
 
 @st.composite

@@ -36,6 +36,14 @@ CASES = {
         lambda: perp_basis(ik_presentation(5, 2), 2),
         "764981085deda8b71ba55b0116d79b8a1c2eaf96e2bf160f16d7218a0518655c",
     ),
+    "perp_basis(ik_presentation(7,2),2)": (
+        lambda: perp_basis(ik_presentation(7, 2), 2),
+        "014b2f168b08fe7672bdc9dece9b2b2680c84e17b201e34f47b3af3619b633bd",
+    ),
+    "perp_basis(ik_presentation(5,3),3)": (
+        lambda: perp_basis(ik_presentation(5, 3), 3),
+        "a7a23b4a5ea716abbaa13ff3ddbad157bf9690730777be6d620360277a72b150",
+    ),
     "perp_basis(ik_presentation(8,1),1)": (
         lambda: perp_basis(ik_presentation(8, 1), 1),
         "4139c58c35facdd93f1c74700d1a2a52c1cb831dab7d1fe2e5a0a9542e3c334a",
