@@ -24,45 +24,46 @@ image inside the box algebra), giving a second route to every dimension.
 Both presentations check their closed-form term counts (2^d - 1 + d for
 ik, up to 3^d for dcp) against `max_products` before building a term.
 
-The kernel of e_1..e_J beside generators that are zero on the box, which
-is what ik_presentation(d, k) is in the box of bound k, is read from the
-power sums: Newton's identities give (e_1..e_J) = (p_1..p_J) over Q, a row
-of p_m(d/dZ) has at most d entries where one of e_m(d/dZ) has up to
-C(d, m), and these are the power sums of the shift under f_a <-> Z^a, so
-the graded engine of `tensors` solves them with ascending columns and
-returns the very basis of the generic route (see perp_basis).  Every other
-presentation takes the generic route, which stays the tests' reference.
-The quotient route keeps its e_j rows, so the ik dimension still has two
-independent computations: power-sum kernel against e-row quotient.
+The solution space inside the box is the joint kernel of the generators'
+operators there, and it has one engine: `tensors._box_kernels`, on the
+graded engine `linalg.graded_kernels` that also serves the jet invariants
+and the invariant tensors.  Under f_a <-> Z^a the box is the tensor power
+of the model space and the power sums p_m(d/dZ) are those of the shift, so
+the invariant tensors are one such kernel.  perp_basis hands the engine
+either the power sums or the generators themselves.  When the generators
+are e_1..e_J beside generators that are zero on the box, which is what
+ik_presentation(d, k) is in the box of bound k, Newton's identities give
+(e_1..e_J) = (p_1..p_J) over Q, and a row of p_m(d/dZ) has at most d
+entries where one of e_m(d/dZ) has up to C(d, m); every other presentation
+passes its own terms.  The engine solves a homogeneous presentation degree
+by degree and any other as one block, and skips the rows a syzygy
+criterion (the matrix form of Faugere's F5) shows to be dependent.
 
-The generic kernel route and the quotient route build their rows only
+The quotient route stays apart on purpose, so that a slip in the kernel
+engine cannot hide in the dimension it is checked against: it keeps its
+e_j rows, ranks every landing pair over the whole box, and so gives every
+ik and dcp dimension a second, independent computation.  Its rows come only
 from the pairs that land: a generator term Z^q meets exactly the monomials
-of the box shifted by q, so each term walks that shifted box instead of
-being tried against every box monomial.  The two routes keep separate
-loops, so a slip in one cannot hide in the other; `apply_poly_operator`
-stays the plain operator on whole polynomials.  The quotient route numbers
-the box monomials by their mixed-radix index in base box_bound+1, under
-which a shift that stays in the box is an integer addition, and hands its
-rows to `rank_of` in any order.  Both kernel routes build each kernel
-polynomial with its terms already in render order.
+of the box shifted by q.  It numbers the box monomials by their mixed-radix
+index in base box_bound+1, under which a shift that stays in the box is an
+integer addition, and hands its rows to `rank_of` in any order.
+`apply_poly_operator` stays the plain operator on whole polynomials.  Kernel
+polynomials are built with their terms already in render order.
 
-The generic kernel route and the membership windows skip most dependent
-rows before elimination with a syzygy criterion (the matrix form of
-Faugere's F5): with the generators taken in order, the multiple m*g_j is
-dropped when m is a leading term of the span of the earlier generators'
-multiples, because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both
-parts are spanned by rows that are kept (see _generator_kernel).  The span,
-and so every kernel vector and membership verdict, is unchanged.  A
-membership window is one degree of a homogeneous presentation; an
-inhomogeneous presentation is homogenized with an extra variable Z_0
-first, which keeps every bounded-degree verdict (see _membership_test).
-A target that is a nonzero multiple of a generator is certified by that
-one product and builds no window, so the e_1..e_d that both presentations
-of verify_dcp_equality hold cost one set lookup each.
-The quotient route ranks every landing pair on purpose, so that it stays
-an independent second computation of each dimension; it also keeps the
-whole box, where both kernel routes drop the columns above the middle
-degree once e_1, or any linear form with full support, is a generator.
+The membership windows skip dependent rows with the same criterion on one
+echelon: with the generators taken in order, the multiple m*g_j is dropped
+when m is a leading term of the span of the earlier generators' multiples,
+because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both parts are
+spanned by rows that are kept.  The span, and so every membership verdict,
+is unchanged.  A membership window is one degree of a homogeneous
+presentation; an inhomogeneous presentation is homogenized with an extra
+variable Z_0 first, which keeps every bounded-degree verdict (see
+_membership_test).  A target that is a nonzero multiple of a generator is
+certified by that one product and builds no window, so the e_1..e_d that
+both presentations of verify_dcp_equality hold cost one set lookup each.
+The kernel engine drops the columns above the middle degree once e_1, or
+any linear form with full support, is a generator; the quotient route keeps
+the whole box.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ from .polynomials import (
 )
 from .resources import DEFAULT_CAPS, ResourceCaps
 from .tensors import (
-    _power_sum_kernels,
+    _box_kernels,
+    _power_sums,
     canonical_wronskian_exponents,
     tensor_from_multilinear,
     wronskian,
@@ -351,11 +353,6 @@ def apply_poly_operator(q: Poly, p: Poly) -> Poly:
     return Poly(result)
 
 
-def _box_columns(d: int, k: int) -> list:
-    """Box exponent tuples ordered by (total degree, tuple)."""
-    return sorted(product(range(k + 1), repeat=d), key=lambda t: (sum(t), t))
-
-
 def perp_basis(
     presentation: IdealPresentation, box_bound: int, caps: ResourceCaps | None = None
 ) -> list[Poly]:
@@ -367,38 +364,31 @@ def perp_basis(
     and the exact null space is returned as polynomials, echelon-ordered
     over the box monomials in (total degree, exponent tuple) order.
 
-    Two routes compute it, chosen by a property of the input.  When every
-    generator is either zero on the box (each of its terms has an exponent
-    above box_bound, as the powers Z_i^(k+1) of ik_presentation do) or an
-    elementary symmetric polynomial e_j in all of Z_1..Z_d (coefficient 1
-    on each squarefree degree-j monomial), and the e_j present are exactly
-    e_1..e_J for some J >= 1, in any order, the kernel is read from the
-    power sums.  Newton's identities over Q give (e_1..e_J) = (p_1..p_J),
-    and p_m(d/dZ) with m > box_bound is zero on the box, so the kernel is
-    the joint kernel of p_1..p_min(J, box_bound).  The row of p_m at Z^mu
-    raises one exponent a of mu by m with weight (a+m)!/a!, so it has at
-    most d entries where a row of e_m has up to C(d, m); the power sums are
-    those of the shift in `tensors`, whose graded engine solves them degree
-    by degree up to the middle degree, with each degree's columns in
-    ascending tuple order.  The system is graded, so the canonical kernel
-    over all columns is the concatenation of the degrees' canonical
-    kernels, and each degree's `nullspace` basis is exactly the basis the
-    generic route returns.
-
-    Every other presentation takes the generic route, `_generator_kernel`,
-    which applies each generator's own rows; it is also the reference the
-    tests hold the power-sum route against.  On both routes the `max_box`
-    cap sees the whole box.
+    One call of the box engine, `tensors._box_kernels`, computes it; the
+    `max_box` cap sees the whole box.  When every generator is either zero
+    on the box (each of its terms has an exponent above box_bound, as the
+    powers Z_i^(k+1) of ik_presentation do) or an elementary symmetric
+    polynomial e_j in all of Z_1..Z_d (coefficient 1 on each squarefree
+    degree-j monomial), and the e_j present are exactly e_1..e_J for some
+    J >= 1, in any order, the engine gets the power sums instead.  Newton's
+    identities over Q give (e_1..e_J) = (p_1..p_J), and p_m(d/dZ) with
+    m > box_bound is zero on the box, so the kernel is the joint kernel of
+    p_1..p_min(J, box_bound).  The row of p_m at Z^mu raises one exponent
+    a of mu by m with weight (a+m)!/a!, so it has at most d entries where a
+    row of e_m has up to C(d, m).  Every other presentation passes its
+    generators' own terms.  The engine's kernels are canonical, so both
+    inputs give the same basis; the tests hold each against the kernel of
+    every generator applied to every box monomial.
     """
     caps = caps or DEFAULT_CAPS
     d = presentation.nvars
     caps.check("max_box", (box_bound + 1) ** d)
     gens = [_z_exponents(g, d) for g in presentation.generators]
     powers = _power_sums_of(gens, d, box_bound)
-    if not powers:
-        return _generator_kernel(gens, d, box_bound)
+    if powers:
+        gens = _power_sums(d, min(powers, box_bound))
     basis: list[Poly] = []
-    for columns, kernel in _power_sum_kernels(box_bound, d, powers):
+    for columns, kernel in _box_kernels(box_bound, d, gens):
         basis += _kernel_polys(columns, kernel)
     return basis
 
@@ -438,85 +428,6 @@ def _kernel_polys(columns: list, kernel: list) -> list[Poly]:
         _wrap({monos[ci]: vec[ci] for ci in sorted(vec, key=rank.__getitem__)})
         for vec in kernel
     ]
-
-
-def _generator_kernel(gens, d: int, box_bound: int) -> list[Poly]:
-    """The perp_basis kernel from the generators' own rows, for any presentation.
-
-    gens lists each generator's (exponent tuple, coefficient) terms.
-
-    When some generator is a linear form sum c_i*Z_i with every c_i != 0,
-    only the box columns of degree <= d*box_bound/2 are used.  Rescaling
-    each Z_i by c_i keeps the box and turns the form into sum d/dZ_i, and
-    d/dZ_i is a principal nilpotent on the polynomials of degree <= box_bound
-    in Z_i.  So by Jacobson-Morozov the box is an sl2-module in which degree
-    t has h-eigenvalue 2t - d*box_bound, and the form's operator, a lowering
-    element, is injective where that is positive: every kernel vector lies
-    in the columns up to the middle degree.  A vector there is killed by a
-    row exactly when it is killed by the row's entries in those columns, so
-    the rows are cut to them, and the kernel and its canonical basis (the
-    columns are a prefix of the column order) are unchanged.
-    ik_presentation and dcp_presentation always contain e_1.
-
-    A generator term c*Z^q sends the box monomial Z^(m+q) to
-    c * prod falling_factorial(m_i+q_i, q_i) * Z^m, so it reaches the
-    multipliers m of the box shifted by q (m_i <= box_bound - q_i) with
-    |m| + |q| at most the top column degree, with the weights read from one
-    table of falling factorials up to box_bound.  Row (generator, m)
-    collects those entries; it is (1/m!) * (Z^m*g mod Z_i^(box_bound+1) and
-    the monomials above the top degree) scaled by b! at column b.  Those
-    monomials span an ideal of the box algebra, so the rows of the
-    generators before g span an ideal of the quotient, the algebra of the
-    columns.  Each term walks its shifted box once and adds its entry to
-    the row of every multiplier that is not skipped (below), so no pair that
-    misses the columns is formed.
-
-    Most of these rows are dependent, and a syzygy criterion (the matrix
-    form of Faugere's F5) skips them before elimination.  The generators are
-    taken in presentation order, each one's rows by descending multiplier,
-    and the row (g_j, m) is skipped when m is the pivot column of a row
-    inserted before g_j.  Then some h in the span of the earlier rows has
-    smallest key m, and Z^m*g_j = h*g_j - (h - Z^m)*g_j up to scaling: the
-    operators commute, so h*g_j lies in the span of the rows of the earlier
-    generators, and (h - Z^m)*g_j in the span of the rows of g_j with larger
-    multipliers, which came first.  The kept rows therefore span the same
-    space, and the canonical kernel is unchanged.  The argument needs
-    neither homogeneity nor the pure powers in the presentation.  A
-    generator whose multiplier-0 row is already in that span lies in the
-    earlier generators' ideal of the truncated box algebra, and so does
-    every Z^m*g_j: all its rows are skipped (for ik(d, k), Newton's
-    identities make e_(k+1)..e_d redundant this way).
-    """
-    top = d * box_bound
-    # d distinct degree-1 terms are the linear form sum c_i*Z_i with every c_i != 0
-    if any(len(terms) == d and all(sum(q) == 1 for q, _ in terms) for terms in gens):
-        top //= 2
-    cols = [b for b in _box_columns(d, box_bound) if sum(b) <= top]
-    col_index = {b: i for i, b in enumerate(cols)}
-    weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(box_bound + 1)]
-    ech = Echelon()
-    for terms in gens:
-        # the multiplier-0 row: c * q! at column q, for the terms in the box
-        first = {col_index[q]: c * prod(map(factorial, q)) for q, c in terms if q in col_index}
-        if ech.contains(first):
-            continue
-        skip = set(ech.leads)
-        rows: dict = {}
-        for q, c in terms:
-            room = top - sum(q)
-            for m in product(*(range(box_bound - e + 1) for e in q)):
-                if sum(m) <= room:
-                    mi = col_index[m]
-                    if mi not in skip:
-                        b = tuple(map(add, m, q))
-                        value = c
-                        for e, f in zip(b, q):
-                            if f:
-                                value *= weight[e][f]
-                        rows.setdefault(mi, {})[col_index[b]] = value
-        for mi in sorted(rows, reverse=True):
-            ech.insert(rows[mi])
-    return _kernel_polys(cols, ech.kernel(len(cols)))
 
 
 def _box_quotient_dimension(
@@ -642,8 +553,8 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
     The echelon of a degree is built the first time a polynomial needs it
     and reused for every later one.  `max_products` is checked against the
     family of the needed degree before anything is built; the lower degrees
-    it reads have smaller families.  The syzygy criterion of _generator_kernel
-    prunes every degree: the product m*g_j is skipped when m is the pivot
+    it reads have smaller families.  The syzygy criterion of the module
+    docstring prunes every degree: the product m*g_j is skipped when m is the pivot
     column of a product of an earlier generator in degree t - deg g_j,
     because that degree spans the degree-(t - deg g_j) part of the ideal of
     g_1..g_(j-1).  So each degree records its rank before each generator,

@@ -183,7 +183,9 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
     # rise[j][m] = (j+m)!/j!, the weight of raising an order j by m
     rise = [[factorial(j + m) // factorial(j) for m in range(order - j)] for j in range(order)]
 
-    def row(m: int, w: int, mu: int) -> dict:
+    def row(i: int, w: int, mu: int) -> dict:
+        # operator i is E_(i+1)
+        m = i + 1
         low, col, out = tuples[w - m][mu], index[w], {}
         for p, u in enumerate(low):
             j = orders[u]
@@ -197,7 +199,7 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
         return out
 
     basis = InvariantBasis(ctx)
-    for w, kernel in enumerate(graded_kernels(list(map(len, columns)), ctx.k, row)):
+    for w, kernel in enumerate(graded_kernels(list(map(len, columns)), range(1, ctx.k + 1), row)):
         col = columns[w]
         for vi, vec in enumerate(kernel):
             # col is in render order (block.sort above), so are the terms

@@ -18,17 +18,21 @@ order, machine and platform.  Null spaces derived from it are therefore
 deterministic, which the golden-file tests rely on.  `leads` reads the pivot
 columns found so far, in the order they were found, without building the
 RREF; a caller that fills an Echelon row by row can consult them to skip rows
-it knows to be dependent, and then read the canonical kernel with `kernel`.
+it knows to be dependent.
 `rank_of` and `nullspace` take a batch of rows in any order and eliminate
 them by descending smallest key, ties by descending largest key, which keeps
 the forward echelon close to reduced (see `_descending_leads`).
 
-`graded_kernels` is the shared engine of the graded invariant spaces (the
-jet invariants and the invariant tensors): on each block of a graded space
-on which commuting operators lower the grade, it skips the rows that a
-syzygy criterion shows to be dependent and takes one `nullspace` of the
-rest.  The criterion reads only the smallest keys of the rows it kept in
-lower blocks, so it needs no elimination state.
+`graded_kernels` is the one kernel engine of the library: the jet
+invariants, the invariant tensors and the harmonic box kernel (the last two
+through `tensors._box_kernels`) all run on it.  On each block of a graded
+space on which commuting operators lower the grade, it skips the rows that
+a syzygy criterion shows to be dependent and takes one `nullspace` of the
+rest.  The criterion reads only the smallest keys of the rows it kept, in
+lower blocks or, for an operator that keeps the grade, earlier in the same
+block, so it needs no elimination state; an ungraded family runs as one
+block.  The harmonic quotient route ranks its own rows with `rank_of`, on
+purpose apart from this engine, as the independent check of its kernels.
 """
 
 from __future__ import annotations
@@ -176,10 +180,6 @@ class Echelon:
         """True iff the row lies in the span of the inserted rows."""
         return not self.reduce(row)
 
-    def kernel(self, ncols: int) -> list[Row]:
-        """Canonical kernel basis of the inserted rows, as `nullspace` gives it."""
-        return _kernel(self.pivots, ncols)
-
 
 def echelon_of(rows: Iterable[Mapping[int, object]]) -> Echelon:
     return Echelon().extend(rows)
@@ -232,40 +232,48 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
 
 
 def graded_kernels(
-    sizes: Sequence[int], k: int, row: Callable[[int, int, int], Mapping[int, int]]
+    sizes: Sequence[int], shifts: Sequence[int], row: Callable[[int, int, int], Mapping[int, int]]
 ) -> list[list[Row]]:
     """Canonical joint kernels of commuting graded operators, block by block.
 
-    Block w of the space has sizes[w] columns, and the operators E_1..E_k
-    commute, with E_m mapping block w to block w - m.  The kernel of block w
-    is that of the rows E_m^T e_mu over the columns mu of the blocks w - m,
-    which row(m, w, mu) returns as dicts over block w's columns; the result
-    lists one `nullspace` canonical basis per block.
+    Block w of the space has sizes[w] columns, and the operators E_0, E_1, ...
+    commute, with E_i mapping block w to block w - shifts[i].  The kernel of
+    block w is that of the rows e_mu E_i over the columns mu of the blocks
+    w - shifts[i], which row(i, w, mu) returns as dicts over block w's
+    columns; the result lists one `nullspace` canonical basis per block.
 
-    The rows of a block are requested operator by operator, E_1 first, each
-    by descending mu, and the row of (m, mu) is skipped when mu is the
-    smallest key with a nonzero entry of a kept row h of E_l, l < m, in
-    block w - m (the matrix form of Faugere's F5 criterion).  Up to
-    scaling, e_mu E_m = h E_m - (h - h_mu e_mu) E_m.  With h = e_nu E_l,
-    commuting gives h E_m = (e_nu E_m) E_l, a combination of block w's rows
-    of E_l, and (h - h_mu e_mu) E_m combines rows of E_m at larger columns.
-    By induction on m, and on mu from the largest column down, the kept
-    rows span every row, and the kernel is unchanged.  The argument holds in
-    any row order, and h need only be some row of block w - m; taking the
-    kept ones needs no elimination state, so each block's kept rows go to
-    one `nullspace` call.  For each of the last k blocks only the smallest
-    keys of its kept rows are remembered, one set per prefix E_1..E_m.
+    The rows of a block are requested operator by operator, in list order,
+    each by descending mu, and the row of (i, mu) is skipped when mu is the
+    smallest key with a nonzero entry of a kept row h of some E_l, l < i, in
+    block w - s, s = shifts[i] (the matrix form of Faugere's F5 criterion).
+    Up to scaling, e_mu E_i = h E_i - (h - h_mu e_mu) E_i.  With
+    h = e_nu E_l, commuting gives h E_i = (e_nu E_i) E_l, a combination of
+    block w's rows of E_l, and (h - h_mu e_mu) E_i combines rows of E_i at
+    larger columns.  By induction on i, and on mu from the largest column
+    down, the kept rows span every row, and the kernel is unchanged.  The
+    argument holds in any row order, and h need only be some row of block
+    w - s; taking the kept ones needs no elimination state, so each block's
+    kept rows go to one `nullspace` call.
+
+    Nothing in the argument needs s > 0.  An operator of shift 0 maps block
+    w to itself, so its h are the kept rows of E_0..E_(i-1) in block w, all
+    requested before E_i's: such an operator reads its own block's leads so
+    far.  So a constant operator fits in a graded family, and an ungraded
+    family of commuting operators runs as one block with every shift 0.
+    For each of the last max(shifts) blocks only the smallest keys of its
+    kept rows are remembered, one set per prefix E_0..E_(i-1).
     """
     kernels: list[list[Row]] = []
-    # leads[w][m]: the smallest keys of block w's kept rows of E_1..E_m
+    # leads[w][i]: the smallest keys of block w's kept rows of E_0..E_(i-1)
     leads: dict = {}
+    reach = max(shifts, default=0)
     for w, ncols in enumerate(sizes):
         rows, seen, found = [], set(), [set()]
-        for m in range(1, k + 1):
-            if m <= w:
-                skip = leads[w - m][m - 1].__contains__
-                for mu in filterfalse(skip, reversed(range(sizes[w - m]))):
-                    r = row(m, w, mu)
+        for i, s in enumerate(shifts):
+            if s <= w:
+                skip = (leads[w - s] if s else found)[i].__contains__
+                for mu in filterfalse(skip, reversed(range(sizes[w - s]))):
+                    r = row(i, w, mu)
                     if r:
                         lead = min(r)
                         if not r[lead]:
@@ -277,7 +285,7 @@ def graded_kernels(
             found.append(set(seen))
         kernels.append(nullspace(rows, ncols))
         leads[w] = found
-        leads.pop(w - k, None)
+        leads.pop(w - reach, None)
     return kernels
 
 

@@ -385,27 +385,31 @@ def determinant(matrix: Sequence[Sequence[Poly]]) -> Poly:
             raise NonSquareError(f"matrix is {n}x{len(row)}")
     if n == 0:
         return Poly.constant(1)
+    return _expand(matrix, {}, frozenset(range(n)))
 
-    memo: dict[frozenset, Poly] = {}
 
-    def expand(cols: frozenset) -> Poly:
-        row_idx = n - len(cols)
-        if len(cols) == 1:
-            (c,) = cols
-            return matrix[row_idx][c]
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        total: dict = {}
-        for pos, c in enumerate(sorted(cols)):
-            entry = matrix[row_idx][c]
-            if entry.is_zero:
-                continue
-            _add_scaled(total, (entry * expand(cols - {c})).terms, -1 if pos % 2 else 1)
-        memo[cols] = result = _wrap(total)
-        return result
+def _expand(matrix: Sequence[Sequence[Poly]], memo: dict, cols: frozenset) -> Poly:
+    """Laplace expansion of the minor on the last len(cols) rows and the columns cols.
 
-    return expand(frozenset(range(n)))
+    A module function rather than a closure over memo: a recursive closure
+    refers to itself through its own cell, and that cycle would keep memo
+    and every cofactor in it alive until a cyclic garbage collection.
+    """
+    row_idx = len(matrix) - len(cols)
+    if len(cols) == 1:
+        (c,) = cols
+        return matrix[row_idx][c]
+    cached = memo.get(cols)
+    if cached is not None:
+        return cached
+    total: dict = {}
+    for pos, c in enumerate(sorted(cols)):
+        entry = matrix[row_idx][c]
+        if entry.is_zero:
+            continue
+        _add_scaled(total, (entry * _expand(matrix, memo, cols - {c})).terms, -1 if pos % 2 else 1)
+    memo[cols] = result = _wrap(total)
+    return result
 
 
 def falling_factorial(n: int, k: int) -> int:

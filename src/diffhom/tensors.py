@@ -14,24 +14,29 @@ the Lie algebra: with J_s the shift in slot s, the insertion operators are
 ell! * e_ell(J_1..J_d), and since the J_s commute, Newton's identities over
 Q give the same joint kernel for the power sums p_m = sum_s J_s^m.  Each p_m
 lowers the total grade sum(a_i) by m, and J^(k+1) = 0 leaves only
-m <= min(k, d).  The p_m commute, as the jet derivations E_m do, so the
-kernel comes from the same engine, `linalg.graded_kernels`: one null space
-of power-sum rows per grade, with the rows its syzygy criterion shows to be
-dependent skipped.  Only the grades up to kd/2 are solved, because no
-invariant lies above the middle grade (see `_power_sum_kernels`).  For
+m <= min(k, d).  Only the grades up to kd/2 are solved, because no
+invariant lies above the middle grade (see `_box_kernels`).  For
 (k,d) = (4,5) those grades have 3,492 rows, 1,859 of them dependent; the
-criterion keeps 2,187, 554 of them still dependent.  Every grade would give
-11,200 rows, 8,195 of them dependent.  This is the library's one route to
-the basis; the tests hold it against two of their own, the insertion
-kernels intersected grade by grade and one null space of every power-sum
-row on the whole box.
+engine's criterion keeps 2,187, 554 of them still dependent.  Every grade
+would give 11,200 rows, 8,195 of them dependent.  This is the library's
+one route to the basis; the tests hold it against two of their own, the
+insertion kernels intersected grade by grade and one null space of every
+power-sum row on the whole box.
 
-Under f_a <-> Z^a the same power sums, as operators p_m(d/dZ), cut out the
-harmonic kernel of the symmetric-plus-powers ideal, so `_power_sum_kernels`
-also serves `harmonic.perp_basis`.  Both callers read each grade's columns
-in ascending tuple order: the harmonic kernel takes each grade's null space
-as it comes, and the canonical tensor basis is the reduced row echelon form
-of each grade's null space.
+Under f_a <-> Z^a the box {0..k}^d is the space of polynomials of
+per-variable degree <= k, J^m in one slot is (d/dZ_s)^m, and the joint
+kernel of the p_m is the harmonic kernel of the symmetric-plus-powers
+ideal.  So one routine, `_box_kernels`, solves the joint kernel of any
+commuting constant-coefficient operators sum c*(d/dZ)^q on the box, and it
+serves both this module and `harmonic.perp_basis`.  It runs on the engine
+of the jet invariants, `linalg.graded_kernels`: one null space per degree
+(here, per grade) of a homogeneous family, or one over the whole box of
+any other, with the rows the engine's syzygy criterion shows to be
+dependent skipped.  Every block lists its columns in ascending tuple order;
+the harmonic kernel takes each block's null space as it comes, and the
+canonical tensor basis is the reduced row echelon form of each grade's
+null space.  Only the quotient route of `harmonic` stays off this engine,
+on purpose: it is the independent check of the kernel's dimension.
 
 Two translations connect tensors to polynomials: `to_harmonic` maps the
 f-basis to monomials in auxiliary Z variables (turning insertion operators
@@ -46,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import mul
 
 from .errors import IndexOutOfRangeError
 from .linalg import echelon_of, graded_kernels, rank_of
@@ -186,10 +192,11 @@ def invariant_tensor_basis(k: int, d: int, caps: ResourceCaps | None = None) -> 
     over Q the elementary symmetric functions e_1..e_d and the power sums
     p_m = sum_s J_s^m (m = 1..d) generate the same ideal, and the two
     operator sets have the same joint kernel.  J^m lowers the grade
-    (coordinate sum) by m and only m <= min(k, d) gives rows, so the grades
-    are the blocks of `linalg.graded_kernels`, which skips the rows its
-    syzygy criterion shows to be dependent; only the grades up to kd/2 can
-    hold an invariant, and only they are solved (see `_power_sum_kernels`).
+    (coordinate sum) by m and only m <= min(k, d) gives rows, so the box
+    engine `_box_kernels` solves them grade by grade on
+    `linalg.graded_kernels`, which skips the rows its syzygy criterion
+    shows to be dependent; only the grades up to kd/2 can hold an
+    invariant, and only they are solved.
     The `max_box` cap still sees the whole box.
 
     The returned basis is the reduced echelon basis over the box
@@ -202,7 +209,7 @@ def invariant_tensor_basis(k: int, d: int, caps: ResourceCaps | None = None) -> 
     read in pivot order.
 
     Two loops stay apart from `insertion_operator` on purpose: the raising
-    rows of `_power_sum_kernels`, because `insertion_operator` is the oracle
+    rows of `_box_kernels`, because `insertion_operator` is the oracle
     these power-sum rows are tested against, and `expand_one_parameter`,
     the independent side of the one-parameter-expansion property check.
     """
@@ -210,57 +217,101 @@ def invariant_tensor_basis(k: int, d: int, caps: ResourceCaps | None = None) -> 
     caps.check("max_box", (k + 1) ** d)
     return [
         Tensor(k, d, {columns[col]: c for col, c in row.items()})
-        for columns, kernel in _power_sum_kernels(k, d, d)
+        for columns, kernel in _box_kernels(k, d, _power_sums(d, min(k, d)))
         for _, row in sorted(echelon_of(kernel).pivots.items())
     ]
 
 
-def _power_sum_kernels(k: int, d: int, powers: int) -> list[tuple]:
-    """Joint kernels of p_1..p_powers of the shift on the box {0..k}^d, by grade.
+def _power_sums(d: int, top: int) -> list[list[tuple]]:
+    """The terms (exponent tuple, coefficient) of p_1..p_top in d variables."""
+    return [
+        [(tuple(m if t == s else 0 for t in range(d)), 1) for s in range(d)]
+        for m in range(1, top + 1)
+    ]
 
-    Returns (columns, kernel) for each grade 0..kd/2: the grade's index
-    tuples, in ascending tuple order, and the `nullspace` canonical basis
-    over those columns.  The grades are the blocks of
-    `graded_kernels`, and p_1..p_min(k, powers) its commuting operators
-    (J^m = 0 for m > k).  No kernel vector has a coordinate of a higher
-    grade: J is a principal nilpotent on f_0..f_k, so by Jacobson-Morozov it
-    is the lowering element f of an sl2-triple (e, h, f) with h f_a =
-    (2a - k) f_a.  On the tensor power f acts as p_1 and h has eigenvalue
-    2g - kd on grade g, and in a finite-dimensional sl2-module f is
-    injective on the eigenspaces of h with positive eigenvalue.  The rows of
-    a grade read only lower grades, so leaving out the higher grades changes
-    none of the kept grades' systems.  The row of p_m at an index kappa of
-    grade w - m is the coefficient of kappa in p_m applied to each column of
-    grade w: the columns are kappa with one slot a raised to a + m <= k,
-    with weight (a+m)!/a!, the entry of J^m.
 
-    Under f_a <-> Z^a this is also the joint kernel of the p_m(d/dZ) on the
-    polynomials of per-variable degree <= k, so the same routine serves the
-    tensor invariants, which take each grade's kernel through one RREF (see
-    `invariant_tensor_basis`), and the harmonic kernel of
-    `harmonic.perp_basis`, whose canonical basis is each grade's null space
-    as it comes.  The tensors ask for p_1..p_d, the harmonic kernel for
-    p_1..p_J of its e_1..e_J.
+def _box_kernels(bound: int, d: int, gens) -> list[tuple]:
+    """Joint kernel of commuting operators on the box {0..bound}^d, by block.
+
+    gens lists each operator's (exponent tuple, coefficient) terms, read as
+    the polynomial sum c*Z^q applied as sum c*(d/dZ)^q to the polynomials of
+    per-variable degree <= bound (under f_a <-> Z^a, the term Z^m of p_m is
+    J^m in one slot).  Returns (columns, kernel) per block: the block's
+    exponent tuples and the `nullspace` canonical basis over them.  A term
+    with an exponent above bound is zero on the box and is dropped, and so
+    is an operator with no term left.
+
+    When every operator is homogeneous, the blocks are the degrees, each
+    with its columns in ascending tuple order, and an operator of degree s
+    maps degree w to degree w - s: these are the blocks and shifts of
+    `graded_kernels`.  Otherwise there is one block, every column in
+    (degree, tuple) order, and every shift is 0.  Either way the columns
+    come in (degree, tuple) order and the kernels are the canonical ones.
+
+    When some operator is a linear form sum c_i*Z_i with every c_i != 0,
+    only the columns of degree <= d*bound/2 are kept.  Rescaling each Z_i
+    by c_i keeps the box and turns the form into p_1, and J = d/dZ_i is a
+    principal nilpotent on the polynomials of degree <= bound in Z_i, so by
+    Jacobson-Morozov it is the lowering element f of an sl2-triple (e, h, f)
+    with h Z_i^a = (2a - bound) Z_i^a.  On the box f acts as p_1 and h has
+    eigenvalue 2t - d*bound on degree t, and in a finite-dimensional
+    sl2-module f is injective on the eigenspaces of h with positive
+    eigenvalue: every kernel vector lies in the degrees up to the middle.  A
+    vector there is killed by a row exactly when it is killed by the row's
+    entries in those columns, so the rows are cut to them, and the kernel
+    and its canonical basis (the columns are a prefix of the column order)
+    are unchanged.  The power sums, ik_presentation and dcp_presentation
+    always hold such a form.
+
+    The row of operator i at a column Z^m of block w - s collects, for each
+    term c*Z^q, the entry c * prod (m_j+q_j)!/m_j! at column Z^(m+q), the
+    coefficient of Z^m in the term applied to Z^(m+q).  Columns are looked
+    up by their mixed-radix index sum m_j*(bound+1)^(d-1-j), in which a
+    shift that stays in the box is an integer addition.
     """
-    middle = k * d // 2
-    blocks: list[list[tuple]] = [[] for _ in range(middle + 1)]
-    # product lists each grade in ascending tuple order
-    for idx in product(range(k + 1), repeat=d):
-        grade = sum(idx)
-        if grade <= middle:
-            blocks[grade].append(idx)
-    index = [{idx: ci for ci, idx in enumerate(columns)} for columns in blocks]
-    # rise[a][m] = (a+m)!/a!, the entry of J^m from f_(a+m) to f_a
-    rise = [[factorial(a + m) // factorial(a) for m in range(k + 1 - a)] for a in range(k + 1)]
+    ops = [[(q, c) for q, c in terms if max(q, default=0) <= bound] for terms in gens]
+    ops = [terms for terms in ops if terms]
+    top = d * bound
+    # d distinct degree-1 terms are the linear form sum c_i*Z_i with every c_i != 0
+    if any(len(terms) == d and all(sum(q) == 1 for q, _ in terms) for terms in ops):
+        top //= 2
+    blocks: list[list[tuple]] = [[] for _ in range(top + 1)]
+    # product lists each degree in ascending tuple order
+    for idx in product(range(bound + 1), repeat=d):
+        if (degree := sum(idx)) <= top:
+            blocks[degree].append(idx)
+    shifts = [sum(terms[0][0]) for terms in ops]
+    if any(sum(q) != s for terms, s in zip(ops, shifts) for q, _ in terms):
+        blocks, shifts = [[idx for block in blocks for idx in block]], [0] * len(ops)
+    # columns are found by mixed-radix index, in which a shift in the box adds
+    radix = [(bound + 1) ** (d - 1 - j) for j in range(d)]
+    index = [{sum(map(mul, b, radix)): ci for ci, b in enumerate(block)} for block in blocks]
+    # each term as (index step, coefficient, [(variable, exponent)] of its support)
+    terms_of = [
+        [(sum(map(mul, q, radix)), c, [(j, f) for j, f in enumerate(q) if f]) for q, c in terms]
+        for terms in ops
+    ]
+    # rise[a][f] = (a+f)!/a!, the entry of (d/dZ)^f from Z^(a+f) to Z^a
+    rise = [
+        [factorial(a + f) // factorial(a) for f in range(bound + 1 - a)] for a in range(bound + 1)
+    ]
 
-    def row(m: int, w: int, mu: int) -> dict:
-        kappa, col, out = blocks[w - m][mu], index[w], {}
-        for s, a in enumerate(kappa):
-            if a + m <= k:
-                out[col[kappa[:s] + (a + m,) + kappa[s + 1 :]]] = rise[a][m]
+    def row(i: int, w: int, mu: int) -> dict:
+        m, col, out = blocks[w - shifts[i]][mu], index[w], {}
+        code = sum(map(mul, m, radix))
+        for step, c, support in terms_of[i]:
+            for j, f in support:
+                if m[j] + f > bound:
+                    break
+                c *= rise[m[j]][f]
+            else:
+                # in the box; a column unless above the top degree
+                ci = col.get(code + step)
+                if ci is not None:
+                    out[ci] = c
         return out
 
-    return list(zip(blocks, graded_kernels(list(map(len, blocks)), min(k, powers), row)))
+    return list(zip(blocks, graded_kernels(list(map(len, blocks)), shifts, row)))
 
 
 def wronskian(alpha) -> Poly:

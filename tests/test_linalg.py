@@ -103,14 +103,6 @@ def test_leads_are_the_pivots_in_the_order_found():
     assert list(ech.leads) == found  # reading the RREF keeps the order
 
 
-def test_kernel_of_a_row_by_row_echelon_is_the_nullspace():
-    rows = [{0: 5, 1: 1, 3: 2}, {1: 7, 2: -3}, {0: 1, 2: 1, 3: 1}, {0: 6, 1: 8, 2: -3, 3: 2}]
-    ech = Echelon()
-    for row in reversed(rows):
-        ech.insert(row)
-    assert ech.kernel(5) == nullspace(rows, 5)
-
-
 def dense_rref(rows, ncols):
     """Independent dense Gauss-Jordan oracle over Fraction."""
     mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
@@ -272,42 +264,85 @@ def test_batch_results_are_independent_of_row_order(rows, data):
 
 @st.composite
 def commuting_graded_family(draw):
-    """Block sizes, a random integer map A lowering the grade by one, and k.
+    """Block sizes, operator shifts, and the rows of commuting graded operators.
 
-    The operators are the powers E_m = A^m, m = 1..k, which commute;
-    power[m][w] is the matrix of A^m from block w to block w - m.
+    The space is V (x) U (x) W for graded spaces V and W, with random integer
+    maps A on V and B on W that lower the grade by one, and an ungraded U
+    with a random integer map M.  A, M and B act on different factors, so
+    the operators E_i = sum_(p+q=s_i) (c_p + c'_p M) A^p B^q, one for each
+    drawn shift s_i, commute.  The shifts repeat freely, and an operator of
+    shift 0 is c + c'M, a multiple of the identity when c' = 0.
+    rows[i][w][mu] is the row of E_i at column mu of block w - s_i, over
+    block w's columns, zeros included.
     """
-    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
     entries = st.integers(-2, 2)
-    power = [None, [None]]
-    for w in range(1, len(sizes)):
-        power[1].append([[draw(entries) for _ in range(sizes[w])] for _ in range(sizes[w - 1])])
-    k = draw(st.integers(0, len(sizes)))
-    for m in range(2, k + 1):
-        power.append([None] * m)
-        for w in range(m, len(sizes)):
-            step, rest = power[1][w - m + 1], power[m - 1][w]
-            inner = range(sizes[w - m + 1])
-            power[m].append(
-                [
-                    [sum(step[i][t] * rest[t][j] for t in inner) for j in range(sizes[w])]
-                    for i in range(sizes[w - m])
-                ]
-            )
-    return sizes, power, k
+    lengths, factors = [], []
+    for _ in range(2):
+        sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        # a basis vector (g, x) of grade g maps to {(g - 1, y): entry}
+        factors.append(
+            {
+                (g, x): {(g - 1, y): draw(entries) for y in range(sizes[g - 1])} if g else {}
+                for g, n in enumerate(sizes)
+                for x in range(n)
+            }
+        )
+        lengths.append(len(sizes))
+    a, b = factors
+    u = draw(st.integers(1, 2))
+    m = {z: {z2: draw(entries) for z2 in range(u)} for z in range(u)}
+    # a column is a key (v, z, y) with v, y basis vectors of V, W and z of U
+    blocks = [
+        [(v, z, y) for v in a for z in range(u) for y in b if v[0] + y[0] == w]
+        for w in range(sum(lengths) - 1)
+    ]
+    index = [{col: ci for ci, col in enumerate(block)} for block in blocks]
+    sizes = list(map(len, blocks))
+    shifts = draw(st.lists(st.integers(0, len(sizes)), max_size=5))
+
+    def apply(vec, slot, table):
+        """One factor's map applied to {key: value}, acting on key[slot]."""
+        out = {}
+        for key, v in vec.items():
+            for image, c in table[key[slot]].items():
+                new = key[:slot] + (image,) + key[slot + 1 :]
+                out[new] = out.get(new, 0) + c * v
+        return out
+
+    rows = []
+    for s in shifts:
+        coefficients = draw(st.lists(st.tuples(entries, entries), min_size=s + 1, max_size=s + 1))
+        by_block = []
+        for w, block in enumerate(blocks):
+            # the rows of E_i in block w are the transpose of its images there
+            low = [dict.fromkeys(range(len(block)), 0) for _ in blocks[w - s]] if s <= w else None
+            for ci, col in enumerate(block if low is not None else ()):
+                for p, (c, c2) in enumerate(coefficients):
+                    vec = {col: 1}
+                    for _ in range(p):
+                        vec = apply(vec, 0, a)
+                    for _ in range(s - p):
+                        vec = apply(vec, 2, b)
+                    for key, v in vec.items():
+                        low[index[w - s][key]][ci] += c * v
+                    for key, v in apply(vec, 1, m).items():
+                        low[index[w - s][key]][ci] += c2 * v
+            by_block.append(low)
+        rows.append(by_block)
+    return sizes, shifts, rows
 
 
 @given(commuting_graded_family())
 @settings(max_examples=150, deadline=None)
 def test_graded_kernels_criterion_keeps_every_kernel(family):
-    sizes, power, k = family
+    sizes, shifts, rows = family
 
-    def row(m, w, mu):
-        return dict(enumerate(power[m][w][mu]))
+    def row(i, w, mu):
+        return dict(rows[i][w][mu])
 
     expected = [
         nullspace(
-            [row(m, w, mu) for m in range(1, min(k, w) + 1) for mu in range(sizes[w - m])],
+            [row(i, w, mu) for i, s in enumerate(shifts) if s <= w for mu in range(sizes[w - s])],
             ncols,
         )
         for w, ncols in enumerate(sizes)
@@ -316,14 +351,14 @@ def test_graded_kernels_criterion_keeps_every_kernel(family):
     # leads[w][mu]: the operators whose returned rows in block w start at mu
     leads = [{} for _ in sizes]
 
-    def recording(m, w, mu):
-        requested.append((m, w, mu))
-        r = row(m, w, mu)
+    def recording(i, w, mu):
+        requested.append((i, w, mu))
+        r = row(i, w, mu)
         nonzero = [c for c, v in r.items() if v]
         if nonzero:
-            leads[w].setdefault(min(nonzero), set()).add(m)
+            leads[w].setdefault(min(nonzero), set()).add(i)
         return r
 
-    assert graded_kernels(sizes, k, recording) == expected
-    for m, w, mu in requested:
-        assert not any(l < m for l in leads[w - m].get(mu, ())), (m, w, mu)
+    assert graded_kernels(sizes, shifts, recording) == expected
+    for i, w, mu in requested:
+        assert not any(l < i for l in leads[w - shifts[i]].get(mu, ())), (i, w, mu)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -131,6 +132,17 @@ class TestDeterminant:
         entries = [X0, X1, X0p, X1p, Z1, Poly.zero()]
         m = [[entries[(3 * r + c) % 6] for c in range(3)] for r in range(3)]
         assert determinant(m) == permutation_determinant(m)
+
+    def test_leaves_no_garbage_cycle(self):
+        # the memo and its cofactors are freed by reference counting alone
+        m = [[Poly.variable(slot_var(s, t)) + Z1 for s in range(1, 5)] for t in range(4)]
+        gc.disable()
+        try:
+            gc.collect()
+            assert not determinant(m).is_zero
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCoefficientOf:

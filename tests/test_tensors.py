@@ -311,7 +311,7 @@ class TestGradedRouteAgainstWholeBox:
     def test_criterion_skips_dependent_rows(self, monkeypatch):
         inserted, engine = [], []
         original = Echelon.insert
-        original_kernels = tensors._power_sum_kernels
+        original_kernels = tensors._box_kernels
 
         def counting(self, row):
             inserted.append(original(self, row))
@@ -324,7 +324,7 @@ class TestGradedRouteAgainstWholeBox:
             return kernels
 
         monkeypatch.setattr(Echelon, "insert", counting)
-        monkeypatch.setattr(tensors, "_power_sum_kernels", measured)
+        monkeypatch.setattr(tensors, "_box_kernels", measured)
         assert len(invariant_tensor_basis(4, 5)) == factorial(5)
         # only the grades up to the middle kd/2 = 10 are solved; every p_m row of
         # those would be 3,492 rows, 1,859 of them dependent (11,200 and 8,195
