@@ -312,16 +312,17 @@ def build_catalog(n: int, k: int, caps: ResourceCaps | None = None) -> Generator
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_products", sum(nested_count_formula(n, i) for i in range(1, k + 2)))
-    families = []
-    for degree in range(1, k + 2):
-        records = []
-        for idx in top_order_nested_indices(n, degree, caps):
-            poly = build_generator(idx, n, degree)
-            records.append(
-                GeneratorRecord(degree, poly.derivation_order(), idx, poly)
-            )
-        families.append(tuple(records))
-    return GeneratorCatalog(n, k, tuple(families))
+    families = tuple(_family(n, degree, caps) for degree in range(1, k + 2))
+    return GeneratorCatalog(n, k, families)
+
+
+def _family(n: int, degree: int, caps: ResourceCaps) -> tuple:
+    """The records of the generators of one degree, one per nested index, in index order."""
+    records = []
+    for idx in top_order_nested_indices(n, degree, caps):
+        poly = build_generator(idx, n, degree)
+        records.append(GeneratorRecord(degree, poly.derivation_order(), idx, poly))
+    return tuple(records)
 
 
 def weighted_signature(n: int, k: int) -> list:
@@ -373,9 +374,7 @@ def verify_quotient_basis(
     lower_elements = (
         diff_homog_basis(JetContext(n, d - 2, d), caps).elements if d >= 2 else []
     )
-    family = [
-        build_generator(idx, n, d) for idx in top_order_nested_indices(n, d, caps)
-    ]
+    family = [rec.poly for rec in _family(n, d, caps)]
 
     spans = spans_equal(full.elements, lower_elements + family)
     independent = rank_modulo(family, lower_elements) == len(family)
@@ -416,21 +415,25 @@ class FiniteGenerationReport:
 
 def _degree_products(catalog: GeneratorCatalog, degree: int) -> list[Poly]:
     """All monomials in the catalog generators of the given total degree."""
-    records = catalog.all_records()
     products: list[Poly] = []
-
-    def extend(start: int, remaining: int, current: Poly):
-        if remaining == 0:
-            products.append(current)
-            return
-        for idx in range(start, len(records)):
-            rec = records[idx]
-            if rec.degree > remaining:
-                continue
-            extend(idx, remaining - rec.degree, current * rec.poly)
-
-    extend(0, degree, Poly.constant(1))
+    _extend(catalog.all_records(), 0, degree, Poly.constant(1), products)
     return products
+
+
+def _extend(records: list, start: int, remaining: int, current: Poly, products: list) -> None:
+    """Append current times each product of degree remaining in records[start:].
+
+    A module function rather than a recursive closure, which would refer to
+    itself through its own cell and leave a reference cycle per call.
+    """
+    if remaining == 0:
+        products.append(current)
+        return
+    for idx in range(start, len(records)):
+        rec = records[idx]
+        if rec.degree > remaining:
+            continue
+        _extend(records, idx, remaining - rec.degree, current * rec.poly, products)
 
 
 def degree_generation_entry(

@@ -56,11 +56,11 @@ when m is a leading term of the span of the earlier generators' multiples,
 because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both parts are
 spanned by rows that are kept.  The span, and so every membership verdict,
 is unchanged.  A membership window is one degree of a homogeneous
-presentation; an inhomogeneous presentation is homogenized with an extra
-variable Z_0 first, which keeps every bounded-degree verdict (see
-_membership_test).  A target that is a nonzero multiple of a generator is
-certified by that one product and builds no window, so the e_1..e_d that
-both presentations of verify_dcp_equality hold cost one set lookup each.
+presentation, as both presentations are (DeConcini-Procesi); membership
+refuses an inhomogeneous one.  A target that is a nonzero multiple of a
+generator is certified by that one product and builds no window, so the
+e_1..e_d that both presentations of verify_dcp_equality hold cost one set
+lookup each.
 The kernel engine drops the columns above the middle degree once e_1, or
 any linear form with full support, is a generator; the quotient route keeps
 the whole box.
@@ -72,9 +72,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, factorial, prod
-from operator import add, le, mul, sub
+from operator import add, mul, sub
 
-from .errors import IndexOutOfRangeError
+from .errors import DiffhomError, IndexOutOfRangeError
 from .linalg import Echelon, rank_of
 from .polynomials import (
     Poly,
@@ -207,29 +207,31 @@ def enum_standard_tableaux(
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_enumeration", factorial(mu.d))
-    lens = mu.nonzero
-    nrows = len(lens)
-    grid = [[0] * length for length in lens]
     found: list[YoungTableau] = []
-
-    def place(value: int):
-        if value > mu.d:
-            found.append(YoungTableau.of(mu, tuple(tuple(row) for row in grid)))
-            return
-        for i in range(nrows):
-            for c in range(lens[i]):
-                if grid[i][c]:
-                    continue
-                if c > 0 and not grid[i][c - 1]:
-                    continue
-                if i + 1 < nrows and not grid[i + 1][c]:
-                    continue
-                grid[i][c] = value
-                place(value + 1)
-                grid[i][c] = 0
-
-    place(1)
+    _place(mu, [[0] * length for length in mu.nonzero], 1, found)
     return found
+
+
+def _place(mu: Partition, grid: list, value: int, found: list) -> None:
+    """Fill value and every later one into grid in each admissible way.
+
+    A module function rather than a recursive closure, which would refer to
+    itself through its own cell and leave a reference cycle per call.
+    """
+    if value > mu.d:
+        found.append(YoungTableau.of(mu, tuple(tuple(row) for row in grid)))
+        return
+    for i, row in enumerate(grid):
+        for c in range(len(row)):
+            if row[c]:
+                continue
+            if c > 0 and not row[c - 1]:
+                continue
+            if i + 1 < len(grid) and not grid[i + 1][c]:
+                continue
+            row[c] = value
+            _place(mu, grid, value + 1, found)
+            row[c] = 0
 
 
 def tableau_vandermonde(tableau: YoungTableau) -> Poly:
@@ -512,13 +514,11 @@ def ideal_membership(
 
     True means p is an exact linear combination of monomial multiples m*g of
     the generators with deg(m*g) <= degree_cap.  False only means "not
-    certified within the cap", never a disproof.  With homogeneous
-    generators the bounded span is graded, so each homogeneous part of p is
-    tested alone in its own degree, which is equivalent and much smaller.
-    An inhomogeneous presentation is homogenized with an extra variable Z_0,
-    and p, homogenized to degree degree_cap, is tested in that one degree:
-    setting Z_0 = 1 maps that degree of the homogenized ideal one to one
-    onto the bounded span.  A p that is c*g for a generator g and a
+    certified within the cap", never a disproof.  The generators must be
+    homogeneous, as those of both presentations are; an inhomogeneous one
+    raises DiffhomError.  The bounded span is then graded, so each
+    homogeneous part of p is tested alone in its own degree, which is
+    equivalent and much smaller.  A p that is c*g for a generator g and a
     rational c != 0 is certified at once when deg g <= degree_cap, by the
     single product 1*g, which is the same verdict.
     """
@@ -531,24 +531,17 @@ def ideal_membership(
 def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: ResourceCaps):
     """The ideal_membership test for one presentation and cap, as a function of p.
 
-    Every test runs in one degree t of a homogeneous presentation, whose
-    degree-t part is spanned by the products m*g with deg(m*g) = t.  An
-    inhomogeneous presentation is first homogenized: a new first exponent,
-    of Z_0, makes up each generator term's missing degree, and a term
-    c*Z^e of p becomes c*Z_0^(cap - |e|)*Z^e, so p is tested at degree cap.
-    Setting Z_0 = 1 is a bijection from the degree-cap forms in Z_0..Z_d
-    onto the polynomials of degree <= cap in Z_1..Z_d, and it maps
-    Z_0^a*Z^m*G onto Z^m*g for the homogenized G of g, so the degree-cap
-    part of the homogenized ideal goes onto the span of the m*g with
-    deg(m*g) <= cap, and each verdict is that of the bounded span.  The
-    product counts agree too: sum over g of C(cap - deg g + d, d).
+    Every generator must be homogeneous, or DiffhomError is raised before
+    any window is built.  Each homogeneous part of p, of degree t, is then
+    tested in the window of degree t, which is spanned by the products m*g
+    with deg(m*g) = t.
 
     Before any window, p is compared with the generators up to a nonzero
     rational factor, by one lookup of its _ray in the rays of the
     generators, built once per test.  If p = c*g, its degree is deg g <=
-    cap, so the product 1*g alone is an exact certificate, on both paths;
-    the window of deg p would contain p too, so every verdict is unchanged,
-    and a degree that only generators reach is never built.
+    cap, so the product 1*g alone is an exact certificate; the window of
+    deg p would contain p too, so every verdict is unchanged, and a degree
+    that only generators reach is never built.
 
     The echelon of a degree is built the first time a polynomial needs it
     and reused for every later one.  `max_products` is checked against the
@@ -564,24 +557,23 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
     """
     d = presentation.nvars
     gens = [(g.total_degree(), _z_exponents(g, d)) for g in presentation.generators]
+    for g, (gd, _) in zip(presentation.generators, gens):
+        if not g.is_homogeneous(gd):
+            raise DiffhomError(f"{presentation.label}: generator {g.render()} is not homogeneous")
     generator_rays = {_ray(terms) for _, terms in gens if terms}
-    homogenize = not all(g.is_homogeneous(gd) for g, (gd, _) in zip(presentation.generators, gens))
-    if homogenize:
-        gens = [(gd, [((gd - sum(e),) + e, c) for e, c in terms]) for gd, terms in gens]
-    nvars = d + 1 if homogenize else d
     windows: dict[int, tuple] = {}
 
     def window(t: int) -> tuple:
         if t not in windows:
             caps.check(
-                "max_products", sum(comb(t - gd + nvars - 1, nvars - 1) for gd, _ in gens if gd <= t)
+                "max_products", sum(comb(t - gd + d - 1, d - 1) for gd, _ in gens if gd <= t)
             )
             needed = {t}
             for s in range(t, 0, -1):
                 if s in needed:
                     needed.update(s - gd for gd, _ in gens if 0 < gd <= s)
             for s in sorted(needed - windows.keys()):
-                windows[s] = _window(gens, nvars, s, windows)
+                windows[s] = _window(gens, d, s, windows)
         return windows[t]
 
     def member(p: Poly) -> bool:
@@ -594,8 +586,6 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
             return True  # p = c*g with deg g = deg p <= cap: the product 1*g
         targets: dict[int, dict] = {}
         for exp, c in p_terms:
-            if homogenize:
-                exp = (degree_cap - sum(exp),) + exp
             targets.setdefault(sum(exp), {})[exp] = c
         for t, target in targets.items():
             ech, _, col_index, _ = window(t)
@@ -703,40 +693,6 @@ class SpanningReport:
         return self.annihilated and self.rank == self.expected_dimension
 
 
-def _kills(terms, polys, weight) -> bool:
-    """True iff the operator with the given terms annihilates every polynomial.
-
-    The polynomials are lists of (exponent tuple, coefficient) terms.  An
-    operator term c*(d/dZ)^q sends c'*Z^e with e >= q to
-    c*c'*prod weight[e_i][q_i] * Z^(e-q), where weight[e][f] is the falling
-    factorial e!/(e-f)!.  Whether e >= q depends only on e capped at the
-    largest exponent of each variable among the terms, so the terms that land
-    are listed once per capped exponent and every other pair is never formed.
-    """
-    ceiling = [max(column) for column in zip(*(q for q, _ in terms))]
-    landing: dict = {}
-    for poly_terms in polys:
-        image: dict = {}
-        for exp, pc in poly_terms:
-            key = tuple(map(min, exp, ceiling))
-            hits = landing.get(key)
-            if hits is None:
-                hits = landing[key] = [
-                    (q, c, [(i, f) for i, f in enumerate(q) if f])
-                    for q, c in terms
-                    if all(map(le, q, key))
-                ]
-            for q, c, support in hits:
-                value = c * pc
-                for i, f in support:
-                    value *= weight[exp[i]][f]
-                out = tuple(map(sub, exp, q))
-                image[out] = image.get(out, 0) + value
-        if any(image.values()):
-            return False
-    return True
-
-
 def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     """Check that derivatives of the column Vandermondes span the solutions.
 
@@ -751,7 +707,9 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     (d/dZ)^a is nonzero on it exactly when a divides one of its terms, and
     distinct terms stay distinct after the same derivative, so one pass over
     the divisors of every term builds the whole family as rows keyed by
-    exponent tuples.
+    exponent tuples.  The annihilation test reads the same rows: a
+    generator sum c_q*Z^q acts on the product as the sum of c_q times the
+    row of the divisor q, and a q that divides no term adds nothing.
 
     The family's size is known before any of it is built.  A column of
     length l contributes the l! terms of its Vandermonde, whose exponents
@@ -775,7 +733,7 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     # each Z_e sits in one column, so its exponent is below the column length
     weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(d)]
     gen_terms = [_z_exponents(g, d) for g in presentation.generators]
-    annihilated = all(_kills(terms, deltas, weight) for terms in gen_terms)
+    annihilated = True
     family = []
     for delta in deltas:
         images: dict = {}
@@ -787,6 +745,12 @@ def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
                         value *= weight[e][f]
                 images.setdefault(a, {})[tuple(map(sub, exp, a))] = value
         family += images.values()
+        for terms in gen_terms:
+            image: dict = {}
+            for q, qc in terms:
+                for out, value in images.get(q, {}).items():
+                    image[out] = image.get(out, 0) + qc * value
+            annihilated = annihilated and not any(image.values())
     rank = rank_of(family)
     k = matching_order(mu)
     if k is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from itertools import product
 from math import factorial
 
@@ -221,6 +222,17 @@ class TestVerification:
         monkeypatch.setattr(catalog_module, "diff_homog_basis", refuse)
         with pytest.raises(ResourceLimitError, match=f"max_products: needed {count},"):
             degree_generation_entry(catalog, degree, ResourceCaps(max_products=count - 1))
+
+    def test_degree_products_leave_no_garbage_cycle(self):
+        # the recursion is a module function, so reference counting alone
+        # frees every partial product
+        gc.disable()
+        try:
+            gc.collect()
+            assert len(catalog_module._degree_products(build_catalog(1, 2), 3)) == 8
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 3), (2, 2), (3, 2)])
     def test_catalog_capped_before_any_index_is_enumerated(self, n, k, monkeypatch):
