@@ -44,23 +44,37 @@ which is what the syzygy criterion of `linalg.graded_kernels` needs: the
 rows of a weight block are taken operator by operator, E_1 first, and the
 row of E_m at a monomial mu is skipped when mu is the smallest key of a
 kept row of E_1..E_(m-1) in mu's own block.  The kept rows span every row,
-so the kernel and its canonical basis are unchanged.  For (N,k,d) =
-(2,3,4) the blocks up to weight 6 have 1,185 rows, 477 of them dependent;
-896 are kept, and 188 of those are still dependent.  Over all 13 blocks
-there would be 3,459 rows, 2,175 of them dependent.
+so the kernel and its canonical basis are unchanged.
+
+Each E_m also keeps the multidegree alpha, the number of factors in each
+X_i, and commutes with every permutation of X_0..X_N.  So a weight block
+splits into one block per alpha, and the kernel on a permuted alpha is the
+permuted kernel: only the non-increasing multidegrees, one per partition of
+d into at most N+1 parts, are solved.  Rows never mix multidegrees, so a
+weight block's RREF is the union of its per-alpha RREFs, and the canonical
+kernel vector of a free column lies in that column's own alpha.  That vector
+is the one whose largest monomial is the free column and which vanishes on
+every other free column, so a relabelled kernel is made canonical again by
+an RREF keyed by descending monomial.  For (N,k,d) = (2,3,4) the 4
+non-increasing multidegrees have 217 of the 789 columns up to weight 6 and
+324 rows, 130 of them dependent; the criterion keeps 249, and 55 of those
+are still dependent.  Solving all 15 multidegrees kept 896 of 1,185 rows,
+188 of them dependent; over all 13 weight blocks there would be 3,459
+rows, 2,175 of them dependent.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial
+from operator import itemgetter
 
 from .errors import IndexOutOfRangeError, UnsupportedVariableError
 # nullspace is unused here, but bench/test_harness.py checks that the tracer
 # patches this `from .linalg import` binding; drop both together
-from .linalg import graded_kernels, nullspace  # noqa: F401
+from .linalg import Echelon, graded_kernels, nullspace  # noqa: F401
 from .polynomials import JET_X, Poly, VarId, _wrap, jet_var, series_coeff
 from .resources import DEFAULT_CAPS, ResourceCaps
 
@@ -141,19 +155,32 @@ def _monomial(t: tuple, variables) -> tuple:
     return tuple([(variables[v], t.count(v)) for v in dict.fromkeys(t)])
 
 
-def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> InvariantBasis:
-    """Kernel basis of the quasi-invariance system in degree ctx.d.
+def _orbits(parts: int, d: int) -> dict:
+    """The compositions of d into `parts` parts, by their non-increasing sort.
 
-    Enumerates all degree-d monomials in the context's jet variables and
-    returns the joint kernel of the derivations E_1..E_k on their span (see
-    the module docstring): by homogeneity and the infinitesimal invariance
-    criterion this is exactly the space on which the series action returns
-    l0^d P, as `is_diff_homogeneous` checks by substitution.  The system is
-    solved one derivation-weight block at a time by `graded_kernels`, for
-    the weights up to dk/2 only (the sl2 bound of the module docstring); the
-    `max_basis_columns` cap still sees every degree-d monomial.
-    Output is the canonical echelon basis, graded by derivation weight, with
-    primitive integer coefficients.
+    Maps each non-increasing beta to the sigmas of the other compositions
+    alpha in its orbit, sigma being the stable descending argsort of alpha,
+    so that beta[r] = alpha[sigma[r]].  The C(d + parts - 1, parts - 1)
+    compositions are walked as bar positions, never the permutations of the
+    parts.
+    """
+    orbits: dict = {}
+    for bars in combinations(range(d + parts - 1), parts - 1):
+        alpha = [b - a - 1 for a, b in zip((-1,) + bars, bars + (d + parts - 1,))]
+        sigma = sorted(range(parts), key=alpha.__getitem__, reverse=True)
+        beta = tuple(alpha[s] for s in sigma)
+        orbit = orbits.setdefault(beta, [])
+        if beta != tuple(alpha):
+            orbit.append(sigma)
+    return orbits
+
+
+def _multidegree_kernels(beta: tuple, ctx: JetContext, variables) -> tuple[list, list]:
+    """The invariants of multidegree beta, weight block by weight block.
+
+    Returns, for each weight w up to dk/2, the block's monomials of
+    multidegree beta in render order, and the canonical kernels of E_1..E_k
+    on their spans from one `graded_kernels` call over all the blocks.
 
     A monomial is a sorted tuple of indices into `ctx.variables()`, where
     X_i^(j) has index i*(k+1) + j, so raising an order by m adds m to an
@@ -162,14 +189,17 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
     raised to X_i^(j+m), with coefficient (its multiplicity there) *
     (j+m)!/j!: the coefficient of mu in the image of that monomial.
     """
-    caps = caps or DEFAULT_CAPS
-    variables = ctx.variables()
-    caps.check("max_basis_columns", comb(len(variables) + ctx.d - 1, ctx.d))
     order = ctx.k + 1
     orders = [v % order for v in range(len(variables))]
     middle = ctx.d * ctx.k // 2
+    # a column is a product of one monomial of degree beta[i] in each X_i
+    factors = [
+        combinations_with_replacement(range(i * order, (i + 1) * order), b)
+        for i, b in enumerate(beta)
+    ]
     blocks: list[list] = [[] for _ in range(middle + 1)]
-    for t in combinations_with_replacement(range(len(variables)), ctx.d):
+    for parts in product(*factors):
+        t = sum(parts, ())
         w = sum(map(orders.__getitem__, t))
         if w <= middle:
             blocks[w].append((_monomial(t, variables), t))
@@ -198,12 +228,68 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
                 out[col[raised]] = (q - bisect_left(low, v, p) + 1) * rise[j][m]
         return out
 
+    return columns, graded_kernels(list(map(len, columns)), range(1, ctx.k + 1), row)
+
+
+def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> InvariantBasis:
+    """Kernel basis of the quasi-invariance system in degree ctx.d.
+
+    Returns the joint kernel of the derivations E_1..E_k on the degree-d
+    monomials in the context's jet variables (see the module docstring): by
+    homogeneity and the infinitesimal invariance criterion this is exactly
+    the space on which the series action returns l0^d P, as
+    `is_diff_homogeneous` checks by substitution.  Output is the canonical
+    echelon basis, graded by derivation weight, with primitive integer
+    coefficients; the `max_basis_columns` cap sees every degree-d monomial.
+
+    The system is solved for the weights up to dk/2 only (the sl2 bound of
+    the module docstring), and for one multidegree per orbit of the
+    permutations of X_0..X_N (the orbit argument of the module docstring):
+    `_multidegree_kernels` solves the non-increasing multidegrees beta, and
+    the kernel of every other alpha in beta's orbit is beta's, relabelled by
+    X_r^(j) -> X_sigma(r)^(j) and re-canonicalised in one `Echelon` keyed by
+    descending monomial, so that each pivot is its vector's largest
+    monomial.  Each weight block's vectors, of every multidegree, are then
+    listed by their largest monomial, which is the order of the block's free
+    columns.
+    """
+    caps = caps or DEFAULT_CAPS
+    variables = ctx.variables()
+    caps.check("max_basis_columns", comb(len(variables) + ctx.d - 1, ctx.d))
+    order = ctx.k + 1
+    # found[w]: (largest monomial, terms in render order) of block w's vectors
+    found: list[list] = [[] for _ in range(ctx.d * ctx.k // 2 + 1)]
+    for beta, sigmas in _orbits(ctx.n + 1, ctx.d).items():
+        columns, kernels = _multidegree_kernels(beta, ctx, variables)
+        for w, kernel in enumerate(kernels):
+            if not kernel:
+                continue
+            col = columns[w]
+            for vec in kernel:
+                # col is in render order (block.sort), so are the terms
+                found[w].append((col[max(vec)], {col[ci]: vec[ci] for ci in sorted(vec)}))
+            support = set().union(*kernel)
+            for sigma in sigmas:
+                relabel = {
+                    variables[r * order + j]: variables[s * order + j]
+                    for r, s in enumerate(sigma)
+                    for j in range(order)
+                }
+                image = {c: tuple(sorted([(relabel[v], e) for v, e in col[c]])) for c in support}
+                # key 0 is the largest relabelled monomial, so each pivot is
+                # its row's largest monomial, and descending keys are render
+                # order
+                ranked = sorted(support, key=image.__getitem__, reverse=True)
+                key = {c: r for r, c in enumerate(ranked)}
+                echelon = Echelon().extend({key[c]: v for c, v in vec.items()} for vec in kernel)
+                for p, vec in echelon.pivots.items():
+                    terms = {image[ranked[r]]: vec[r] for r in sorted(vec, reverse=True)}
+                    found[w].append((image[ranked[p]], terms))
     basis = InvariantBasis(ctx)
-    for w, kernel in enumerate(graded_kernels(list(map(len, columns)), range(1, ctx.k + 1), row)):
-        col = columns[w]
-        for vi, vec in enumerate(kernel):
-            # col is in render order (block.sort above), so are the terms
-            basis.elements.append(_wrap({col[ci]: vec[ci] for ci in sorted(vec)}))
+    for w, block in enumerate(found):
+        block.sort(key=itemgetter(0))
+        for vi, (_, terms) in enumerate(block):
+            basis.elements.append(_wrap(terms))
             basis.provenance.append(f"w{w}/v{vi}")
     return basis
 

@@ -225,10 +225,11 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
     into a map column -> [(pivot, lead, value)], and each vector is scaled
     by the lcm of the leads it meets before its content is stripped.
     """
-    # passing the RREF rather than the echelon frees the echelon before the
-    # vectors are built, which keeps about 0.4 MB off the peak RSS of the
-    # jet-invariant benchmark workload
-    return _kernel(echelon_of(_descending_leads(rows)).pivots, ncols)
+    echelon = echelon_of(_descending_leads(rows))
+    if echelon.rank == ncols:
+        # no free column, so the RREF that `pivots` would build goes unread
+        return []
+    return _kernel(echelon.pivots, ncols)
 
 
 def graded_kernels(

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
 import pytest
 
+from diffhom import jets
 from diffhom.errors import (
     IndexOutOfRangeError,
     ResourceLimitError,
@@ -280,7 +281,9 @@ class TestLieRouteAgainstSubstitution:
 class TestCriterionRowsAgainstAllRows:
     """diff_homog_basis (pruned raising rows) against every E_m image row."""
 
-    @pytest.mark.parametrize("ctx", LOWERING_CONTEXTS, ids=context_id)
+    # N7k1d2 has 136 columns in 2 orbits of multidegrees, and S_8 has 40,320
+    # permutations that the orbit walk never lists
+    @pytest.mark.parametrize("ctx", LOWERING_CONTEXTS + [JetContext(7, 1, 2)], ids=context_id)
     def test_same_rendered_basis_and_provenance(self, ctx):
         basis = diff_homog_basis(ctx)
         elements, provenance = lowering_basis(ctx)
@@ -298,10 +301,44 @@ class TestCriterionRowsAgainstAllRows:
         monkeypatch.setattr(Echelon, "insert", counting)
         basis = diff_homog_basis(JetContext(2, 3, 4))
         assert basis.dimension == 3**4
-        # only the blocks up to the middle weight dk/2 = 6 are solved; every E_m
-        # row of those would be 1,185 rows, 477 of them dependent (3,459 and
-        # 2,175 over every block), and the row-lead criterion keeps 896
-        assert (len(inserted), inserted.count(None)) == (896, 188)
+        # only the blocks up to the middle weight dk/2 = 6 are solved, and of
+        # those only the columns of the 4 non-increasing multidegrees: every
+        # E_m row there would be 324 rows, 130 of them dependent, and the
+        # row-lead criterion keeps 249, 55 of them dependent.  The other 58
+        # inserts re-canonicalise the relabelled kernels of the other 11
+        # multidegrees, all independent.  Solving all 15 multidegrees kept
+        # 896 rows, 188 of them dependent.
+        assert (len(inserted), inserted.count(None)) == (307, 55)
+
+
+class TestMultidegreeOrbits:
+    """Each derivation E_m keeps the multidegree and commutes with every
+    permutation of X_0..X_N, so the invariant space is stable under them and
+    one multidegree per orbit is solved."""
+
+    @pytest.mark.parametrize(
+        "ctx", [JetContext(2, 2, 3), JetContext(2, 3, 4), JetContext(3, 2, 3)], ids=context_id
+    )
+    def test_permuting_the_variables_keeps_the_span(self, ctx):
+        elements = diff_homog_basis(ctx).elements
+        for sigma in permutations(range(ctx.n + 1)):
+            mapping = {v: Poly.variable(jet_var(sigma[v.i], v.j)) for v in ctx.variables()}
+            assert spans_equal([p.substitute(mapping) for p in elements], elements)
+
+    def test_one_kernel_call_per_partition(self, monkeypatch):
+        sizes = []
+        original = jets.graded_kernels
+
+        def counting(block_sizes, shifts, row):
+            sizes.append(sum(block_sizes))
+            return original(block_sizes, shifts, row)
+
+        monkeypatch.setattr(jets, "graded_kernels", counting)
+        diff_homog_basis(JetContext(2, 3, 4))
+        # 4 = 3+1 = 2+2 = 2+1+1: the partitions of 4 into at most 3 parts,
+        # solved on 217 of the 789 columns up to the middle weight
+        assert len(sizes) == 4
+        assert sum(sizes) == 217
 
 
 class TestMiddleWeightBound:

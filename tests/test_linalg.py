@@ -72,6 +72,15 @@ def test_nullspace_of_zero_map_is_identity():
     assert vecs == [{0: 1}, {1: 1}, {2: 1}]
 
 
+def test_nullspace_at_full_rank_builds_no_rref(monkeypatch):
+    def unread(self):
+        raise AssertionError("the RREF of a full-rank system was built")
+
+    monkeypatch.setattr(Echelon, "pivots", property(unread))
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 1, 2: -1}, {0: 2, 2: 3}, {0: 1, 1: 2, 2: 1}]
+    assert nullspace(rows, 3) == []
+
+
 def test_echelon_is_insertion_order_independent():
     rows = [{0: 2, 1: 4, 2: 2}, {1: 3, 2: 3}, {0: 1, 2: 5}]
     forward = echelon_of(rows).pivots

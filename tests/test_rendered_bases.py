@@ -13,6 +13,7 @@ import pytest
 
 from diffhom.harmonic import Partition, dcp_presentation, ik_presentation, perp_basis
 from diffhom.jets import JetContext, diff_homog_basis
+from diffhom.resources import ResourceCaps
 from diffhom.tensors import invariant_tensor_basis
 
 CASES = {
@@ -23,6 +24,11 @@ CASES = {
     "diff_homog_basis(JetContext(2,3,4))": (
         lambda: diff_homog_basis(JetContext(2, 3, 4)).elements,
         "228ba265ce069067b86aab6b82c777ec877b0e7d636ee80e5f83ec072841878c",
+    ),
+    # 100,947 columns, past the default max_basis_columns
+    "diff_homog_basis(JetContext(2,5,6))": (
+        lambda: diff_homog_basis(JetContext(2, 5, 6), ResourceCaps(max_basis_columns=110_000)).elements,
+        "219987ea9beb875206e437f266055663424adbf0af2ce98cb12c307e36d67d33",
     ),
     "invariant_tensor_basis(3,4)": (
         lambda: invariant_tensor_basis(3, 4),
