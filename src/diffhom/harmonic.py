@@ -20,33 +20,33 @@ space of an ideal is the joint kernel of its generator operators.  Because
 the powers Z_i^(k+1) force per-variable degree <= k, solution spaces live in
 finite coordinate boxes and all kernels and ranks are exact integer linear
 algebra.  Quotient dimensions are computed independently (rank of the ideal's
-image inside the box algebra), giving a second route to every dimension.
+image inside the box algebra), giving a second route to every ik dimension.
 Both presentations check their closed-form term counts (2^d - 1 + d for
 ik, up to 3^d for dcp) against `max_products` before building a term.
 
-The solution space inside the box is the joint kernel of the generators'
-operators there, and it has one engine: `tensors._box_kernels`, on the
-graded engine `linalg.graded_kernels` that also serves the jet invariants
-and the invariant tensors.  Under f_a <-> Z^a the box is the tensor power
-of the model space and the power sums p_m(d/dZ) are those of the shift, so
-the invariant tensors are one such kernel.  perp_basis hands the engine
-either the power sums or the generators themselves.  When the generators
-are e_1..e_J beside generators that are zero on the box, which is what
-ik_presentation(d, k) is in the box of bound k, Newton's identities give
-(e_1..e_J) = (p_1..p_J) over Q, and a row of p_m(d/dZ) has at most d
-entries where one of e_m(d/dZ) has up to C(d, m); every other presentation
-passes its own terms.  The engine solves a homogeneous presentation degree
-by degree and any other as one block, and skips the rows a syzygy
-criterion (the matrix form of Faugere's F5) shows to be dependent.
+The solution space of ik(d, k) inside the box of bound k is the joint
+kernel of its generators' operators there, and `perp_basis` solves that
+one ideal only, refusing any other presentation.  The box absorbs the
+powers, and Newton's identities give (e_1..e_d) = (p_1..p_d) over Q, so the
+kernel is the power sums' joint kernel, which a row of p_m(d/dZ) with at
+most d entries expresses where one of e_m(d/dZ) has up to C(d, m).  It has
+one engine: `tensors._box_kernels`, on the graded engine
+`linalg.graded_kernels` that also serves the jet invariants.  Under
+f_a <-> Z^a the box is the tensor power of the model space and the power
+sums p_m(d/dZ) are those of the shift, so the invariant tensors are the
+same kernel.  The engine solves it degree by degree up to the middle degree
+d*k/2 (the sl2 bound), and skips the rows a syzygy criterion (the matrix
+form of Faugere's F5) shows to be dependent.
 
 The quotient route stays apart on purpose, so that a slip in the kernel
 engine cannot hide in the dimension it is checked against: it keeps its
 e_j rows, ranks every landing pair over the whole box, and so gives every
-ik and dcp dimension a second, independent computation.  Its rows come only
-from the pairs that land: a generator term Z^q meets exactly the monomials
-of the box shifted by q.  It numbers the box monomials by their mixed-radix
-index in base box_bound+1, under which a shift that stays in the box is an
-integer addition, and hands its rows to `rank_of` in any order.
+ik dimension a second, independent computation; it is the one route to
+the dcp dimensions.  Its rows come only from the pairs that land: a
+generator term Z^q meets exactly the monomials of the box shifted by q.
+It numbers the box monomials by their mixed-radix index in base
+box_bound+1, under which a shift that stays in the box is an integer
+addition, and hands its rows to `rank_of` in any order.
 `apply_poly_operator` stays the plain operator on whole polynomials.  Kernel
 polynomials are built with their terms already in render order.
 
@@ -61,9 +61,6 @@ refuses an inhomogeneous one.  A target that is a nonzero multiple of a
 generator is certified by that one product and builds no window, so the
 e_1..e_d that both presentations of verify_dcp_equality hold cost one set
 lookup each.
-The kernel engine drops the columns above the middle degree once e_1, or
-any linear form with full support, is a generator; the quotient route keeps
-the whole box.
 """
 
 from __future__ import annotations
@@ -91,7 +88,6 @@ from .polynomials import (
 from .resources import DEFAULT_CAPS, ResourceCaps
 from .tensors import (
     _box_kernels,
-    _power_sums,
     canonical_wronskian_exponents,
     tensor_from_multilinear,
     wronskian,
@@ -116,8 +112,6 @@ class Partition:
         if d == 0:
             raise ValueError("partition of 0 not supported")
         nonzero = [x for x in clean if x]
-        if len(nonzero) > d:
-            raise ValueError(f"{parts} is not a partition of {d}")
         return Partition(tuple([0] * (d - len(nonzero)) + nonzero))
 
     @property
@@ -358,61 +352,36 @@ def apply_poly_operator(q: Poly, p: Poly) -> Poly:
 def perp_basis(
     presentation: IdealPresentation, box_bound: int, caps: ResourceCaps | None = None
 ) -> list[Poly]:
-    """Joint polynomial kernel of the generator operators, inside the box.
+    """Joint polynomial kernel of ik(d, k) in the box of bound k.
 
-    The box of per-variable degree <= box_bound must absorb the ideal's pure
-    powers (as it does for ik_presentation(d, k) with box_bound = k); every
-    generator is then applied as a differential operator on box monomials
-    and the exact null space is returned as polynomials, echelon-ordered
-    over the box monomials in (total degree, exponent tuple) order.
+    presentation must equal ik_presentation(d, box_bound), d its number of
+    variables, as a whole: label, generators and their order.  Any other is
+    refused with a one-line `DiffhomError` before any kernel row is built.
+    The box of per-variable degree <= k absorbs the powers Z_i^(k+1), so
+    the kernel is that of e_1(d/dZ)..e_d(d/dZ) on the box, returned as
+    polynomials, echelon-ordered over the box monomials in (total degree,
+    exponent tuple) order.
 
-    One call of the box engine, `tensors._box_kernels`, computes it; the
-    `max_box` cap sees the whole box.  When every generator is either zero
-    on the box (each of its terms has an exponent above box_bound, as the
-    powers Z_i^(k+1) of ik_presentation do) or an elementary symmetric
-    polynomial e_j in all of Z_1..Z_d (coefficient 1 on each squarefree
-    degree-j monomial), and the e_j present are exactly e_1..e_J for some
-    J >= 1, in any order, the engine gets the power sums instead.  Newton's
-    identities over Q give (e_1..e_J) = (p_1..p_J), and p_m(d/dZ) with
-    m > box_bound is zero on the box, so the kernel is the joint kernel of
-    p_1..p_min(J, box_bound).  The row of p_m at Z^mu raises one exponent
-    a of mu by m with weight (a+m)!/a!, so it has at most d entries where a
-    row of e_m has up to C(d, m).  Every other presentation passes its
-    generators' own terms.  The engine's kernels are canonical, so both
-    inputs give the same basis; the tests hold each against the kernel of
-    every generator applied to every box monomial.
+    Newton's identities over Q give (e_1..e_d) = (p_1..p_d), and p_m(d/dZ)
+    with m > k is zero on the box, so the kernel is the joint kernel of the
+    power sums p_1..p_min(d, k): one call of the box engine
+    `tensors._box_kernels(k, d)`, whose p_m row has at most d entries where
+    an e_m row has up to C(d, m).  The `max_box` cap sees the whole box.
+    The tests hold the result against the kernel of every generator applied
+    to every box monomial.
     """
     caps = caps or DEFAULT_CAPS
     d = presentation.nvars
     caps.check("max_box", (box_bound + 1) ** d)
-    gens = [_z_exponents(g, d) for g in presentation.generators]
-    powers = _power_sums_of(gens, d, box_bound)
-    if powers:
-        gens = _power_sums(d, min(powers, box_bound))
+    if presentation != ik_presentation(d, box_bound, caps):
+        raise DiffhomError(
+            f"perp_basis solves ik(d,k) in the box of bound k only, "
+            f"not {presentation.label} at bound {box_bound}"
+        )
     basis: list[Poly] = []
-    for columns, kernel in _box_kernels(box_bound, d, gens):
+    for columns, kernel in _box_kernels(box_bound, d):
         basis += _kernel_polys(columns, kernel)
     return basis
-
-
-def _power_sums_of(gens, d: int, box_bound: int) -> int:
-    """J if the generators are e_1..e_J beside generators zero on the box, else 0.
-
-    gens lists each generator's (exponent tuple, coefficient) terms.  e_j
-    is C(d, j) squarefree terms of degree j >= 1 with coefficient 1
-    (distinct, being the keys of a polynomial).  A generator is zero on the
-    box when each of its terms has an exponent above box_bound.
-    """
-    degrees = set()
-    for terms in gens:
-        j = sum(terms[0][0]) if terms else 0
-        if j and len(terms) == comb(d, j) and all(
-            c == 1 and max(q) == 1 and sum(q) == j for q, c in terms
-        ):
-            degrees.add(j)
-        elif not all(max(q, default=0) > box_bound for q, _ in terms):
-            return 0
-    return len(degrees) if degrees == set(range(1, len(degrees) + 1)) else 0
 
 
 def _kernel_polys(columns: list, kernel: list) -> list[Poly]:

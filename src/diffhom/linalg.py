@@ -26,13 +26,12 @@ the forward echelon close to reduced (see `_descending_leads`).
 `graded_kernels` is the one kernel engine of the library: the jet
 invariants, the invariant tensors and the harmonic box kernel (the last two
 through `tensors._box_kernels`) all run on it.  On each block of a graded
-space on which commuting operators lower the grade, it skips the rows that
-a syzygy criterion shows to be dependent and takes one `nullspace` of the
-rest.  The criterion reads only the smallest keys of the rows it kept, in
-lower blocks or, for an operator that keeps the grade, earlier in the same
-block, so it needs no elimination state; an ungraded family runs as one
-block.  The harmonic quotient route ranks its own rows with `rank_of`, on
-purpose apart from this engine, as the independent check of its kernels.
+space on which commuting operators lower the grade, each by at least one,
+it skips the rows that a syzygy criterion shows to be dependent and takes
+one `nullspace` of the rest.  The criterion reads only the smallest keys of
+the rows it kept in lower blocks, so it needs no elimination state.  The
+harmonic quotient route ranks its own rows with `rank_of`, on purpose apart
+from this engine, as the independent check of its kernels.
 """
 
 from __future__ import annotations
@@ -238,10 +237,11 @@ def graded_kernels(
     """Canonical joint kernels of commuting graded operators, block by block.
 
     Block w of the space has sizes[w] columns, and the operators E_0, E_1, ...
-    commute, with E_i mapping block w to block w - shifts[i].  The kernel of
-    block w is that of the rows e_mu E_i over the columns mu of the blocks
-    w - shifts[i], which row(i, w, mu) returns as dicts over block w's
-    columns; the result lists one `nullspace` canonical basis per block.
+    commute, with E_i mapping block w to block w - shifts[i], every shift
+    at least 1.  The kernel of block w is that of the rows e_mu E_i over the
+    columns mu of the blocks w - shifts[i], which row(i, w, mu) returns as
+    dicts over block w's columns; the result lists one `nullspace` canonical
+    basis per block.
 
     The rows of a block are requested operator by operator, in list order,
     each by descending mu, and the row of (i, mu) is skipped when mu is the
@@ -256,11 +256,6 @@ def graded_kernels(
     w - s; taking the kept ones needs no elimination state, so each block's
     kept rows go to one `nullspace` call.
 
-    Nothing in the argument needs s > 0.  An operator of shift 0 maps block
-    w to itself, so its h are the kept rows of E_0..E_(i-1) in block w, all
-    requested before E_i's: such an operator reads its own block's leads so
-    far.  So a constant operator fits in a graded family, and an ungraded
-    family of commuting operators runs as one block with every shift 0.
     For each of the last max(shifts) blocks only the smallest keys of its
     kept rows are remembered, one set per prefix E_0..E_(i-1).
     """
@@ -272,7 +267,7 @@ def graded_kernels(
         rows, seen, found = [], set(), [set()]
         for i, s in enumerate(shifts):
             if s <= w:
-                skip = (leads[w - s] if s else found)[i].__contains__
+                skip = leads[w - s][i].__contains__
                 for mu in filterfalse(skip, reversed(range(sizes[w - s]))):
                     r = row(i, w, mu)
                     if r:

@@ -26,17 +26,16 @@ power-sum row on the whole box.
 Under f_a <-> Z^a the box {0..k}^d is the space of polynomials of
 per-variable degree <= k, J^m in one slot is (d/dZ_s)^m, and the joint
 kernel of the p_m is the harmonic kernel of the symmetric-plus-powers
-ideal.  So one routine, `_box_kernels`, solves the joint kernel of any
-commuting constant-coefficient operators sum c*(d/dZ)^q on the box, and it
-serves both this module and `harmonic.perp_basis`.  It runs on the engine
-of the jet invariants, `linalg.graded_kernels`: one null space per degree
-(here, per grade) of a homogeneous family, or one over the whole box of
-any other, with the rows the engine's syzygy criterion shows to be
-dependent skipped.  Every block lists its columns in ascending tuple order;
-the harmonic kernel takes each block's null space as it comes, and the
-canonical tensor basis is the reduced row echelon form of each grade's
-null space.  Only the quotient route of `harmonic` stays off this engine,
-on purpose: it is the independent check of the kernel's dimension.
+ideal ik(d, k).  So one routine, `_box_kernels(k, d)`, solves the power
+sums' joint kernel on the box, and it serves both this module and
+`harmonic.perp_basis`.  It runs on the engine of the jet invariants,
+`linalg.graded_kernels`: one null space per grade, with the rows the
+engine's syzygy criterion shows to be dependent skipped.  Every grade lists
+its columns in ascending tuple order; the harmonic kernel takes each
+grade's null space as it comes, and the canonical tensor basis is the
+reduced row echelon form of each grade's null space.  Only the quotient
+route of `harmonic` stays off this engine, on purpose: it is the
+independent check of the kernel's dimension.
 
 Two translations connect tensors to polynomials: `to_harmonic` maps the
 f-basis to monomials in auxiliary Z variables (turning insertion operators
@@ -217,100 +216,54 @@ def invariant_tensor_basis(k: int, d: int, caps: ResourceCaps | None = None) -> 
     caps.check("max_box", (k + 1) ** d)
     return [
         Tensor(k, d, {columns[col]: c for col, c in row.items()})
-        for columns, kernel in _box_kernels(k, d, _power_sums(d, min(k, d)))
+        for columns, kernel in _box_kernels(k, d)
         for _, row in sorted(echelon_of(kernel).pivots.items())
     ]
 
 
-def _power_sums(d: int, top: int) -> list[list[tuple]]:
-    """The terms (exponent tuple, coefficient) of p_1..p_top in d variables."""
-    return [
-        [(tuple(m if t == s else 0 for t in range(d)), 1) for s in range(d)]
-        for m in range(1, top + 1)
-    ]
+def _box_kernels(k: int, d: int) -> list[tuple]:
+    """Joint kernel of the power sums p_1..p_min(k,d) of the shift on {0..k}^d.
 
+    Returns (columns, kernel) per grade w = 0..kd/2: the grade's exponent
+    tuples in ascending order, and the `nullspace` canonical basis over
+    them.  p_m lowers the grade by m, so the grades and the shifts
+    1..min(k, d) are the blocks and shifts of `graded_kernels`.  Under
+    f_a <-> Z^a, J^m in slot j is (d/dZ_j)^m, and the kernel is also the
+    harmonic kernel of ik(d, k) in the box of bound k.
 
-def _box_kernels(bound: int, d: int, gens) -> list[tuple]:
-    """Joint kernel of commuting operators on the box {0..bound}^d, by block.
+    The row of p_m at a column mu of grade w - m has the entry
+    (mu_j+m)!/mu_j! at mu + m*e_j, for each slot j with mu_j + m <= k: the
+    coefficient of f_mu in J^m applied to f_(mu + m*e_j).  Columns are
+    looked up by their mixed-radix index sum mu_j*(k+1)^(d-1-j), in which a
+    raise that stays in the box is an integer addition.
 
-    gens lists each operator's (exponent tuple, coefficient) terms, read as
-    the polynomial sum c*Z^q applied as sum c*(d/dZ)^q to the polynomials of
-    per-variable degree <= bound (under f_a <-> Z^a, the term Z^m of p_m is
-    J^m in one slot).  Returns (columns, kernel) per block: the block's
-    exponent tuples and the `nullspace` canonical basis over them.  A term
-    with an exponent above bound is zero on the box and is dropped, and so
-    is an operator with no term left.
-
-    When every operator is homogeneous, the blocks are the degrees, each
-    with its columns in ascending tuple order, and an operator of degree s
-    maps degree w to degree w - s: these are the blocks and shifts of
-    `graded_kernels`.  Otherwise there is one block, every column in
-    (degree, tuple) order, and every shift is 0.  Either way the columns
-    come in (degree, tuple) order and the kernels are the canonical ones.
-
-    When some operator is a linear form sum c_i*Z_i with every c_i != 0,
-    only the columns of degree <= d*bound/2 are kept.  Rescaling each Z_i
-    by c_i keeps the box and turns the form into p_1, and J = d/dZ_i is a
-    principal nilpotent on the polynomials of degree <= bound in Z_i, so by
-    Jacobson-Morozov it is the lowering element f of an sl2-triple (e, h, f)
-    with h Z_i^a = (2a - bound) Z_i^a.  On the box f acts as p_1 and h has
-    eigenvalue 2t - d*bound on degree t, and in a finite-dimensional
-    sl2-module f is injective on the eigenspaces of h with positive
-    eigenvalue: every kernel vector lies in the degrees up to the middle.  A
-    vector there is killed by a row exactly when it is killed by the row's
-    entries in those columns, so the rows are cut to them, and the kernel
-    and its canonical basis (the columns are a prefix of the column order)
-    are unchanged.  The power sums, ik_presentation and dcp_presentation
-    always hold such a form.
-
-    The row of operator i at a column Z^m of block w - s collects, for each
-    term c*Z^q, the entry c * prod (m_j+q_j)!/m_j! at column Z^(m+q), the
-    coefficient of Z^m in the term applied to Z^(m+q).  Columns are looked
-    up by their mixed-radix index sum m_j*(bound+1)^(d-1-j), in which a
-    shift that stays in the box is an integer addition.
+    Only the grades up to kd/2 are solved.  J is a principal nilpotent on
+    the model space, so by Jacobson-Morozov it is the lowering element f of
+    an sl2-triple (e, h, f) with h f_a = (2a - k) f_a.  On the box f acts
+    as p_1 and h has eigenvalue 2w - kd on grade w, and in a
+    finite-dimensional sl2-module f is injective on the eigenspaces of h
+    with positive eigenvalue: every kernel vector lies in the grades up to
+    the middle.
     """
-    ops = [[(q, c) for q, c in terms if max(q, default=0) <= bound] for terms in gens]
-    ops = [terms for terms in ops if terms]
-    top = d * bound
-    # d distinct degree-1 terms are the linear form sum c_i*Z_i with every c_i != 0
-    if any(len(terms) == d and all(sum(q) == 1 for q, _ in terms) for terms in ops):
-        top //= 2
+    top = d * k // 2
     blocks: list[list[tuple]] = [[] for _ in range(top + 1)]
-    # product lists each degree in ascending tuple order
-    for idx in product(range(bound + 1), repeat=d):
-        if (degree := sum(idx)) <= top:
-            blocks[degree].append(idx)
-    shifts = [sum(terms[0][0]) for terms in ops]
-    if any(sum(q) != s for terms, s in zip(ops, shifts) for q, _ in terms):
-        blocks, shifts = [[idx for block in blocks for idx in block]], [0] * len(ops)
-    # columns are found by mixed-radix index, in which a shift in the box adds
-    radix = [(bound + 1) ** (d - 1 - j) for j in range(d)]
+    # product lists each grade in ascending tuple order
+    for idx in product(range(k + 1), repeat=d):
+        if (grade := sum(idx)) <= top:
+            blocks[grade].append(idx)
+    # columns are found by mixed-radix index, in which a raise in the box adds
+    radix = [(k + 1) ** (d - 1 - j) for j in range(d)]
     index = [{sum(map(mul, b, radix)): ci for ci, b in enumerate(block)} for block in blocks]
-    # each term as (index step, coefficient, [(variable, exponent)] of its support)
-    terms_of = [
-        [(sum(map(mul, q, radix)), c, [(j, f) for j, f in enumerate(q) if f]) for q, c in terms]
-        for terms in ops
-    ]
-    # rise[a][f] = (a+f)!/a!, the entry of (d/dZ)^f from Z^(a+f) to Z^a
-    rise = [
-        [factorial(a + f) // factorial(a) for f in range(bound + 1 - a)] for a in range(bound + 1)
-    ]
+    # rise[a][m] = (a+m)!/a!, the entry of J^m from f_(a+m) to f_a
+    rise = [[factorial(a + m) // factorial(a) for m in range(k + 1 - a)] for a in range(k + 1)]
 
     def row(i: int, w: int, mu: int) -> dict:
-        m, col, out = blocks[w - shifts[i]][mu], index[w], {}
-        code = sum(map(mul, m, radix))
-        for step, c, support in terms_of[i]:
-            for j, f in support:
-                if m[j] + f > bound:
-                    break
-                c *= rise[m[j]][f]
-            else:
-                # in the box; a column unless above the top degree
-                ci = col.get(code + step)
-                if ci is not None:
-                    out[ci] = c
-        return out
+        m, col = i + 1, index[w]
+        low = blocks[w - m][mu]
+        code = sum(map(mul, low, radix))
+        return {col[code + m * r]: rise[a][m] for a, r in zip(low, radix) if a + m <= k}
 
+    shifts = range(1, min(k, d) + 1)
     return list(zip(blocks, graded_kernels(list(map(len, blocks)), shifts, row)))
 
 

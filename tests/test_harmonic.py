@@ -186,6 +186,8 @@ class TestSolutionSpaces:
             (8, 1, 70),
             (6, 2, 90),
             (3, 0, 1),
+            (10, 1, 252),
+            (11, 1, 462),
         ],
     )
     def test_dimensions(self, d, k, expected):
@@ -210,9 +212,26 @@ class TestSolutionSpaces:
         # multinomial d!/prod(parts!) for a non-balanced shape
         assert dcp_quotient_dimension(Partition.of((1, 3))) == 4
 
-    def test_kernel_route_accepts_any_presentation(self):
-        assert len(perp_basis(dcp_presentation(Partition.of((1, 1))), 1)) == 2
-        assert len(perp_basis(dcp_presentation(Partition.of((2,))), 1)) == 1
+    @pytest.mark.parametrize("case", ["dcp(1,1,2)", "ik-at-another-bound", "e1-doubled", "reordered"])
+    def test_kernel_route_refuses_every_other_presentation(self, case, monkeypatch):
+        ik31, ik32 = ik_presentation(3, 1), ik_presentation(3, 2)
+        pres, bound = {
+            "dcp(1,1,2)": (dcp_presentation(Partition.of((1, 1, 2))), 3),
+            "ik-at-another-bound": (ik_presentation(4, 2), 3),
+            "e1-doubled": (
+                IdealPresentation(3, (ik31.generators[0].scale(2),) + ik31.generators[1:], ik31.label),
+                1,
+            ),
+            "reordered": (IdealPresentation(3, ik32.generators[::-1], ik32.label), 2),
+        }[case]
+        # nothing is built before the refusal
+        monkeypatch.setattr(tensors, "_box_kernels", refuse("tensors._box_kernels"))
+        monkeypatch.setattr(harmonic, "_box_kernels", refuse("harmonic._box_kernels"))
+        with pytest.raises(DiffhomError) as refused:
+            perp_basis(pres, bound)
+        message = str(refused.value)
+        assert "\n" not in message
+        assert pres.label in message and f"bound {bound}" in message
 
     def test_kernel_elements_are_solutions(self):
         for d, k in ((3, 1), (4, 1), (3, 2)):
@@ -460,11 +479,6 @@ class TestBoxRoutesAgainstAllPairs:
         expected = rendered(ik_kernel_by_columns(d, k))
         assert rendered(perp_basis(ik_presentation(d, k), k)) == expected
 
-    @pytest.mark.parametrize("mu", DCP_SHAPES, ids=str)
-    def test_dcp_kernel(self, mu):
-        expected = rendered(dcp_kernel_by_columns(mu))
-        assert rendered(perp_basis(dcp_presentation(mu), mu.d - 1)) == expected
-
     @pytest.mark.parametrize("d,k", IK_CASES)
     def test_ik_quotient(self, d, k):
         gens = [elementary_symmetric(range(1, d + 1), j) for j in range(1, d + 1)]
@@ -529,86 +543,11 @@ def spanning_family_size(mu):
     return size
 
 
-def generic_perp_basis(presentation, bound):
-    """The box engine's kernel from the generators' own terms, without perp_basis's e-to-p rewrite."""
-    d = presentation.nvars
-    gens = [harmonic._z_exponents(g, d) for g in presentation.generators]
-    return [
-        p
-        for columns, kernel in tensors._box_kernels(bound, d, gens)
-        for p in harmonic._kernel_polys(columns, kernel)
-    ]
-
-
 def refuse(name):
     def refused(*args, **kwargs):
         raise AssertionError(f"{name} was called")
 
     return refused
-
-
-def box_kernel_operators(monkeypatch):
-    """The operator terms of every box-engine call perp_basis makes from now on."""
-    calls = []
-    original = harmonic._box_kernels
-
-    def recording(bound, d, gens):
-        calls.append(gens)
-        return original(bound, d, gens)
-
-    monkeypatch.setattr(harmonic, "_box_kernels", recording)
-    return calls
-
-
-# every ik(d, k), d <= 11 and k <= d, with a box of at most 3^7 monomials
-POWER_SUM_CASES = [(d, k) for d in range(1, 12) for k in range(d + 1) if (k + 1) ** d <= 2187]
-
-
-def near_misses(d, k):
-    """ik(d, k) changed so that the power sums no longer give its kernel."""
-    e = [elementary_symmetric(range(1, d + 1), j) for j in range(1, d + 1)]
-    powers = [Poly.monomial([(z_var(i), k + 1)]) for i in range(1, d + 1)]
-    at_bound = [Poly.monomial([(z_var(1), k)])] + powers[1:]
-    return {
-        "e2-dropped": e[:1] + e[2:] + powers,
-        "e1-doubled": [e[0].scale(2)] + e[1:] + powers,
-        "power-at-bound": e + at_bound,
-        "extra-generator": e + powers + [Z1 * Z2],
-    }
-
-
-class TestPowerSumRoute:
-    """perp_basis reads e_1..e_J beside box-killing powers from the power sums."""
-
-    @pytest.mark.parametrize("d,k", POWER_SUM_CASES)
-    def test_ik_kernel_matches_the_generic_route(self, d, k, monkeypatch):
-        pres = ik_presentation(d, k)
-        expected = "\n".join(rendered(generic_perp_basis(pres, k)))
-        calls = box_kernel_operators(monkeypatch)
-        assert "\n".join(rendered(perp_basis(pres, k))) == expected
-        assert calls == [tensors._power_sums(d, min(d, k))]
-
-    @pytest.mark.parametrize("d,k", [(4, 2), (3, 3), (5, 1)])
-    def test_any_prefix_in_any_order(self, d, k, monkeypatch):
-        # e_J..e_1 between powers of different exponents, all above the bound
-        powers = [Poly.monomial([(z_var(i), k + 1 + i)]) for i in range(1, d + 1)]
-        for top in range(1, d + 1):
-            e = [elementary_symmetric(range(1, d + 1), j) for j in range(top, 0, -1)]
-            pres = IdealPresentation(d, tuple(powers[:1] + e + powers[1:]), "prefix")
-            expected = rendered(kernel_by_columns(pres, k))
-            with monkeypatch.context() as m:
-                calls = box_kernel_operators(m)
-                assert rendered(perp_basis(pres, k)) == expected
-                assert calls == [tensors._power_sums(d, min(top, k))]
-
-    @pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2)])
-    @pytest.mark.parametrize("kind", ["e2-dropped", "e1-doubled", "power-at-bound", "extra-generator"])
-    def test_near_misses_take_the_generic_route(self, d, k, kind, monkeypatch):
-        pres = IdealPresentation(d, tuple(near_misses(d, k)[kind]), kind)
-        expected = rendered(kernel_by_columns(pres, k))
-        calls = box_kernel_operators(monkeypatch)
-        assert rendered(perp_basis(pres, k)) == expected
-        assert calls == [[harmonic._z_exponents(g, d) for g in pres.generators]]
 
 
 def max_degree(polys):
@@ -649,72 +588,6 @@ def sparse_polys(d, degrees):
     exps = [e for e in product(range(max(degrees) + 1), repeat=d) if sum(e) in degrees]
     coefficients = st.integers(-3, 3).filter(bool)
     return st.dictionaries(st.sampled_from(exps), coefficients, min_size=1, max_size=3).map(z_poly)
-
-
-@st.composite
-def box_presentations(draw):
-    d = draw(st.integers(1, 4))
-    bound = draw(st.integers(1, 3))
-    gens = draw(st.lists(sparse_polys(d, range(4)), min_size=1, max_size=4))
-    if draw(st.booleans()):
-        gens += [Poly.monomial([(z_var(i), bound + 1)]) for i in range(1, d + 1)]
-    gens = draw(st.permutations(gens))
-    return IdealPresentation(d, tuple(gens), "random"), bound
-
-
-@given(box_presentations())
-@settings(max_examples=60, deadline=None)
-def test_pruned_kernel_matches_all_pairs(case):
-    pres, bound = case
-    assert rendered(perp_basis(pres, bound)) == rendered(kernel_by_columns(pres, bound))
-
-
-@st.composite
-def presentations_with_a_full_linear_form(draw):
-    pres, bound = draw(box_presentations())
-    d = pres.nvars
-    coefficients = st.integers(-3, 3).filter(bool)
-    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    form = z_poly({unit: draw(coefficients) for unit in units})
-    gens = draw(st.permutations(pres.generators + (form,)))
-    return IdealPresentation(d, tuple(gens), "random"), bound
-
-
-@given(presentations_with_a_full_linear_form())
-@settings(max_examples=60, deadline=None)
-def test_middle_degree_kernel_matches_all_pairs(case):
-    # the form sum c_i*Z_i, every c_i != 0, makes perp_basis keep only the
-    # box columns of degree <= d*bound/2; the oracle keeps every column
-    pres, bound = case
-    assert rendered(perp_basis(pres, bound)) == rendered(kernel_by_columns(pres, bound))
-
-
-# each case: variables, generators, box bound, and the number of blocks the
-# box engine solves (one per degree up to the top when every generator is
-# homogeneous after the terms zero on the box are dropped, else one)
-ENGINE_CASES = {
-    "nonzero-constant": (2, (Poly.constant(3),), 2, 5),
-    "nonzero-constant-inhomogeneous": (2, (Z1 + Z2 * Z2, Poly.constant(-2)), 2, 1),
-    "zero-generator": (2, (Poly.zero(), Z1 * Z2), 2, 5),
-    "inside-and-above": (2, (Z1 * Z2 + Z1 + Z2**3, Z2 * Z2), 2, 1),
-    "above-leaves-homogeneous": (2, (Z1 * Z2 + Z2**3 - Z1**4,), 2, 5),
-    "inhomogeneous-full-form": (3, (Z1 * Z2 + Z3, Z1 + 2 * Z2 - Z3), 2, 1),
-}
-
-
-@pytest.mark.parametrize("case", ENGINE_CASES)
-def test_box_engine_cases_match_all_pairs(case):
-    d, gens, bound, nblocks = ENGINE_CASES[case]
-    pres = IdealPresentation(d, gens, case)
-    basis = perp_basis(pres, bound)
-    assert rendered(basis) == rendered(kernel_by_columns(pres, bound))
-    blocks = tensors._box_kernels(bound, d, [harmonic._z_exponents(g, d) for g in gens])
-    assert len(blocks) == nblocks
-    if case.startswith("nonzero-constant"):
-        assert basis == []
-    if case == "inhomogeneous-full-form":
-        # the full linear form cuts the one block at the middle degree 3 of 6
-        assert max(map(sum, blocks[0][0])) == 3
 
 
 def member_by_all_products(p, presentation):
@@ -790,20 +663,9 @@ def count_inserts(monkeypatch):
     return inserted
 
 
-def test_pruned_kernel_inserts_fewer_rows(monkeypatch):
-    inserted = count_inserts(monkeypatch)
-    basis = generic_perp_basis(ik_presentation(7, 2), 2)
-    assert len(basis) == closed_form_dimension(7, 2)
-    # e_1 bounds the columns by the middle degree 7; every landing (generator,
-    # multiplier) pair there would be 1,869 rows (10,206 in the whole box).
-    # The graded engine's criterion reads only the leads of kept e_l rows, not
-    # an echelon's pivots, so it keeps more than a row-by-row echelon would
-    assert len(inserted) == 1473 < 1869
-
-
 def test_power_sum_kernel_inserts(monkeypatch):
     # the p_m rows of degrees 0..7, pruned by the graded engine's criterion;
-    # more rows than the e_m rows above, but each has at most d = 7 entries
+    # each has at most d = 7 entries, where an e_m row has up to C(7, m)
     inserted = count_inserts(monkeypatch)
     basis = perp_basis(ik_presentation(7, 2), 2)
     assert len(basis) == closed_form_dimension(7, 2)

@@ -279,8 +279,7 @@ def commuting_graded_family(draw):
     maps A on V and B on W that lower the grade by one, and an ungraded U
     with a random integer map M.  A, M and B act on different factors, so
     the operators E_i = sum_(p+q=s_i) (c_p + c'_p M) A^p B^q, one for each
-    drawn shift s_i, commute.  The shifts repeat freely, and an operator of
-    shift 0 is c + c'M, a multiple of the identity when c' = 0.
+    drawn shift s_i >= 1, commute.  The shifts repeat freely.
     rows[i][w][mu] is the row of E_i at column mu of block w - s_i, over
     block w's columns, zeros included.
     """
@@ -307,7 +306,7 @@ def commuting_graded_family(draw):
     ]
     index = [{col: ci for ci, col in enumerate(block)} for block in blocks]
     sizes = list(map(len, blocks))
-    shifts = draw(st.lists(st.integers(0, len(sizes)), max_size=5))
+    shifts = draw(st.lists(st.integers(1, len(sizes)), max_size=5))
 
     def apply(vec, slot, table):
         """One factor's map applied to {key: value}, acting on key[slot]."""

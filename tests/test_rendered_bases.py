@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from diffhom.harmonic import Partition, dcp_presentation, ik_presentation, perp_basis
+from diffhom.harmonic import ik_presentation, perp_basis
 from diffhom.jets import JetContext, diff_homog_basis
 from diffhom.resources import ResourceCaps
 from diffhom.tensors import invariant_tensor_basis
@@ -53,10 +53,6 @@ CASES = {
     "perp_basis(ik_presentation(8,1),1)": (
         lambda: perp_basis(ik_presentation(8, 1), 1),
         "4139c58c35facdd93f1c74700d1a2a52c1cb831dab7d1fe2e5a0a9542e3c334a",
-    ),
-    "perp_basis(dcp_presentation((1,1,2)),3)": (
-        lambda: perp_basis(dcp_presentation(Partition.of((1, 1, 2))), 3),
-        "a0f2eb30e597b2d17e944161db27b4aaa45f22411f3b3c0948e2b50c8f293056",
     ),
 }
 
