@@ -29,14 +29,13 @@ kernel of its generators' operators there, and `perp_basis` solves that
 one ideal only, refusing any other presentation.  The box absorbs the
 powers, and Newton's identities give (e_1..e_d) = (p_1..p_d) over Q, so the
 kernel is the power sums' joint kernel, which a row of p_m(d/dZ) with at
-most d entries expresses where one of e_m(d/dZ) has up to C(d, m).  It has
-one engine: `tensors._box_kernels`, on the graded engine
-`linalg.graded_kernels` that also serves the jet invariants.  Under
+most d entries expresses where one of e_m(d/dZ) has up to C(d, m).  Under
 f_a <-> Z^a the box is the tensor power of the model space and the power
 sums p_m(d/dZ) are those of the shift, so the invariant tensors are the
-same kernel.  The engine solves it degree by degree up to the middle degree
-d*k/2 (the sl2 bound), and skips the rows a syzygy criterion (the matrix
-form of Faugere's F5) shows to be dependent.
+same kernel, and `perp_basis` makes the call `tensors._box_kernels` makes
+for them: the multilinear block of `jets._multidegree_kernels`, the jet
+invariants' row builder.  The `jets` docstring gives its middle-degree cut
+and its syzygy criterion.
 
 The quotient route stays apart on purpose, so that a slip in the kernel
 engine cannot hide in the dimension it is checked against: it keeps its
@@ -364,11 +363,10 @@ def perp_basis(
 
     Newton's identities over Q give (e_1..e_d) = (p_1..p_d), and p_m(d/dZ)
     with m > k is zero on the box, so the kernel is the joint kernel of the
-    power sums p_1..p_min(d, k): one call of the box engine
-    `tensors._box_kernels(k, d)`, whose p_m row has at most d entries where
-    an e_m row has up to C(d, m).  The `max_box` cap sees the whole box.
-    The tests hold the result against the kernel of every generator applied
-    to every box monomial.
+    power sums p_1..p_min(d, k): one call of `tensors._box_kernels(k, d)`,
+    whose p_m row has at most d entries where an e_m row has up to C(d, m).
+    The `max_box` cap sees the whole box.  The tests hold the result against
+    the kernel of every generator applied to every box monomial.
     """
     caps = caps or DEFAULT_CAPS
     d = presentation.nvars

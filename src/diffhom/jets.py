@@ -61,13 +61,28 @@ non-increasing multidegrees have 217 of the 789 columns up to weight 6 and
 are still dependent.  Solving all 15 multidegrees kept 896 of 1,185 rows,
 188 of them dependent; over all 13 weight blocks there would be 3,459
 rows, 2,175 of them dependent.
+
+The tensor picture is the polarization of this one.  The degree-d
+polynomials in X_0..X_N are Sym^d(C^(N+1) (x) F_k), F_k spanned by the
+orders 0..k, and a derivation acts on a product factor by factor.  On one
+factor E_m is J^m, J the shift X_i^(j) -> j X_i^(j-1), so E_m acts as the
+power sum p_m(J_1..J_d) = sum_s J_s^m of the shifts J_s of the d factors.
+The J_s commute, and by Newton's identities p_m with m > d lies in
+Q[p_1..p_d], so E_1..E_min(k,d) have the joint kernel of E_1..E_k and only
+they give rows.  At N + 1 = d the block of multidegree (1,...,1) is
+multilinear, and with X_s^(a) read as f_a in slot s it is the box
+{0..k}^d of `tensors`: the invariant tensors are the jet invariants of that
+multidegree, and `tensors._box_kernels` reads them off `_multidegree_kernels`,
+the library's one builder of E_m rows.  A column of a block is a sorted
+tuple of variable indices, looked up by the mixed-radix code of its
+exponent vector, the exponent of X_i^(j) having base beta_i + 1 in
+multidegree beta; raising X_i^(j) to X_i^(j+m) then adds to the code.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 from operator import itemgetter
 
@@ -175,60 +190,70 @@ def _orbits(parts: int, d: int) -> dict:
     return orbits
 
 
-def _multidegree_kernels(beta: tuple, ctx: JetContext, variables) -> tuple[list, list]:
+def _multidegree_kernels(beta: tuple, k: int) -> tuple[list, list]:
     """The invariants of multidegree beta, weight block by weight block.
 
-    Returns, for each weight w up to dk/2, the block's monomials of
-    multidegree beta in render order, and the canonical kernels of E_1..E_k
-    on their spans from one `graded_kernels` call over all the blocks.
+    Returns, for each weight w up to dk/2, d = sum(beta), the block's columns
+    in monomial order, and the canonical kernels of E_1..E_min(k,d) on their
+    spans from one `graded_kernels` call over all the blocks.
 
-    A monomial is a sorted tuple of indices into `ctx.variables()`, where
-    X_i^(j) has index i*(k+1) + j, so raising an order by m adds m to an
-    index.  The row of E_m at a monomial mu of weight w - m collects, for
-    each factor X_i^(j) of mu with j + m <= k, the monomial with that factor
-    raised to X_i^(j+m), with coefficient (its multiplicity there) *
-    (j+m)!/j!: the coefficient of mu in the image of that monomial.
+    A column is a sorted tuple of variable indices, where X_i^(j) has index
+    i*(k+1) + j, so raising an order by m adds m to an index.  The row of
+    E_m at a column mu of weight w - m collects, for each factor X_i^(j) of
+    mu with j + m <= k, the column with that factor raised to X_i^(j+m),
+    with entry (the multiplicity of X_i^(j+m) in mu, plus 1) * (j+m)!/j!:
+    the coefficient of mu in the image of that column.
     """
-    order = ctx.k + 1
-    orders = [v % order for v in range(len(variables))]
-    middle = ctx.d * ctx.k // 2
-    # a column is a product of one monomial of degree beta[i] in each X_i
-    factors = [
-        combinations_with_replacement(range(i * order, (i + 1) * order), b)
-        for i, b in enumerate(beta)
-    ]
-    blocks: list[list] = [[] for _ in range(middle + 1)]
-    for parts in product(*factors):
-        t = sum(parts, ())
-        w = sum(map(orders.__getitem__, t))
-        if w <= middle:
-            blocks[w].append((_monomial(t, variables), t))
-    columns, tuples, index = [], [], []
-    for block in blocks:
-        # all of degree d, so mono_sort_key order is the monomials' own order
-        block.sort()
-        columns.append([mono for mono, _ in block])
-        tuples.append([t for _, t in block])
-        index.append({t: ci for ci, (_, t) in enumerate(block)})
+    order, d = k + 1, sum(beta)
+    middle = d * k // 2
+    # radix[v]: the place of variable v in a column's mixed-radix code, the
+    # base of v being beta[v // order] + 1
+    radix, place = [], 1
+    for b in beta:
+        for _ in range(order):
+            radix.append(place)
+            place *= b + 1
+    # (column, weight, code), grown one X_i at a time; each X_i's factors
+    # are sorted once into monomial order, so every block comes out in it
+    grown = [((), 0, 0)]
+    indices = range(len(radix))
+    for i, b in enumerate(beta):
+        base = i * order
+        factors = sorted(
+            combinations_with_replacement(range(base, base + order), b),
+            key=lambda f: _monomial(f, indices),
+        )
+        weighed = [(f, sum(f) - b * base, sum(map(radix.__getitem__, f))) for f in factors]
+        grown = [
+            (t + f, w + fw, c + fc)
+            for t, w, c in grown
+            for f, fw, fc in weighed
+            if w + fw <= middle
+        ]
+    columns: list[list] = [[] for _ in range(middle + 1)]
+    codes: list[list] = [[] for _ in range(middle + 1)]
+    for t, w, c in grown:
+        columns[w].append(t)
+        codes[w].append(c)
+    # the triples would otherwise stay alive through the solve
+    del grown
+    index = [{c: ci for ci, c in enumerate(block)} for block in codes]
     # rise[j][m] = (j+m)!/j!, the weight of raising an order j by m
     rise = [[factorial(j + m) // factorial(j) for m in range(order - j)] for j in range(order)]
 
     def row(i: int, w: int, mu: int) -> dict:
-        # operator i is E_(i+1)
+        # operator i is E_(i+1); a repeated factor writes its entry again.  A
+        # loop, as a comprehension here costs twice as much on Python 3.11
         m = i + 1
-        low, col, out = tuples[w - m][mu], index[w], {}
-        for p, u in enumerate(low):
-            j = orders[u]
-            if j + m < order and (p == 0 or low[p - 1] != u):
-                # raise the first u of its run to v; v goes after every index
-                # <= v, and has one more factor than in low
-                v = u + m
-                q = bisect_right(low, v, p)
-                raised = low[:p] + low[p + 1 : q] + (v,) + low[q:]
-                out[col[raised]] = (q - bisect_left(low, v, p) + 1) * rise[j][m]
+        low, col, code, out = columns[w - m][mu], index[w], codes[w - m][mu], {}
+        for u in low:
+            j = u % order
+            if j + m < order:
+                out[col[code + radix[u + m] - radix[u]]] = (low.count(u + m) + 1) * rise[j][m]
         return out
 
-    return columns, graded_kernels(list(map(len, columns)), range(1, ctx.k + 1), row)
+    shifts = range(1, min(k, d) + 1)
+    return columns, graded_kernels(list(map(len, columns)), shifts, row)
 
 
 def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> InvariantBasis:
@@ -260,13 +285,14 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
     # found[w]: (largest monomial, terms in render order) of block w's vectors
     found: list[list] = [[] for _ in range(ctx.d * ctx.k // 2 + 1)]
     for beta, sigmas in _orbits(ctx.n + 1, ctx.d).items():
-        columns, kernels = _multidegree_kernels(beta, ctx, variables)
+        columns, kernels = _multidegree_kernels(beta, ctx.k)
         for w, kernel in enumerate(kernels):
             if not kernel:
                 continue
-            col = columns[w]
+            col = [_monomial(t, variables) for t in columns[w]]
             for vec in kernel:
-                # col is in render order (block.sort), so are the terms
+                # col is in monomial order, for one degree render order, so
+                # the terms are too
                 found[w].append((col[max(vec)], {col[ci]: vec[ci] for ci in sorted(vec)}))
             support = set().union(*kernel)
             for sigma in sigmas:

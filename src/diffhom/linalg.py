@@ -23,9 +23,11 @@ it knows to be dependent.
 them by descending smallest key, ties by descending largest key, which keeps
 the forward echelon close to reduced (see `_descending_leads`).
 
-`graded_kernels` is the one kernel engine of the library: the jet
-invariants, the invariant tensors and the harmonic box kernel (the last two
-through `tensors._box_kernels`) all run on it.  On each block of a graded
+`graded_kernels` is the one kernel engine of the library, and
+`jets._multidegree_kernels` its one caller: the jet invariants, the
+invariant tensors and the harmonic box kernel (the last two as the jets'
+multilinear block, through `tensors._box_kernels`) all run on it.  The row
+function returns only nonzero entries.  On each block of a graded
 space on which commuting operators lower the grade, each by at least one,
 it skips the rows that a syzygy criterion shows to be dependent and takes
 one `nullspace` of the rest.  The criterion reads only the smallest keys of
@@ -240,13 +242,13 @@ def graded_kernels(
     commute, with E_i mapping block w to block w - shifts[i], every shift
     at least 1.  The kernel of block w is that of the rows e_mu E_i over the
     columns mu of the blocks w - shifts[i], which row(i, w, mu) returns as
-    dicts over block w's columns; the result lists one `nullspace` canonical
-    basis per block.
+    dicts of their nonzero entries over block w's columns; the result lists
+    one `nullspace` canonical basis per block.
 
     The rows of a block are requested operator by operator, in list order,
     each by descending mu, and the row of (i, mu) is skipped when mu is the
-    smallest key with a nonzero entry of a kept row h of some E_l, l < i, in
-    block w - s, s = shifts[i] (the matrix form of Faugere's F5 criterion).
+    smallest key of a kept row h of some E_l, l < i, in block w - s,
+    s = shifts[i] (the matrix form of Faugere's F5 criterion).
     Up to scaling, e_mu E_i = h E_i - (h - h_mu e_mu) E_i.  With
     h = e_nu E_l, commuting gives h E_i = (e_nu E_i) E_l, a combination of
     block w's rows of E_l, and (h - h_mu e_mu) E_i combines rows of E_i at
@@ -271,13 +273,8 @@ def graded_kernels(
                 for mu in filterfalse(skip, reversed(range(sizes[w - s]))):
                     r = row(i, w, mu)
                     if r:
-                        lead = min(r)
-                        if not r[lead]:
-                            lead = min((c for c, v in r.items() if v), default=None)
-                            if lead is None:
-                                continue
                         rows.append(r)
-                        seen.add(lead)
+                        seen.add(min(r))
             found.append(set(seen))
         kernels.append(nullspace(rows, ncols))
         leads[w] = found

@@ -12,30 +12,24 @@ Tensors are stored sparsely in the f-basis: coords maps an exponent tuple
 (a_1..a_d) in {0..k}^d to a rational coordinate.  The basis routine works in
 the Lie algebra: with J_s the shift in slot s, the insertion operators are
 ell! * e_ell(J_1..J_d), and since the J_s commute, Newton's identities over
-Q give the same joint kernel for the power sums p_m = sum_s J_s^m.  Each p_m
-lowers the total grade sum(a_i) by m, and J^(k+1) = 0 leaves only
-m <= min(k, d).  Only the grades up to kd/2 are solved, because no
-invariant lies above the middle grade (see `_box_kernels`).  For
-(k,d) = (4,5) those grades have 3,492 rows, 1,859 of them dependent; the
-engine's criterion keeps 2,187, 554 of them still dependent.  Every grade
-would give 11,200 rows, 8,195 of them dependent.  This is the library's
-one route to the basis; the tests hold it against two of their own, the
-insertion kernels intersected grade by grade and one null space of every
-power-sum row on the whole box.
+Q give the same joint kernel for the power sums p_m = sum_s J_s^m.  With
+f_a in slot s read as X_s^(a), these are the derivations E_m of `jets` on
+its block of multidegree (1,...,1) in d variables, so `_box_kernels(k, d)`
+is one `jets._multidegree_kernels` call: the grades, the shifts
+m <= min(k, d), the middle-grade cut at kd/2 and the syzygy criterion are
+those of the `jets` docstring.  For (k,d) = (4,5) the grades up to 10 have
+3,492 rows, 1,859 of them dependent; the criterion keeps 2,187, 554 of
+them still dependent.  Every grade would give 11,200 rows, 8,195 of them
+dependent.  This is the library's one route to the basis; the tests hold
+it against two of their own, the insertion kernels intersected grade by
+grade and one null space of every power-sum row on the whole box.
 
 Under f_a <-> Z^a the box {0..k}^d is the space of polynomials of
 per-variable degree <= k, J^m in one slot is (d/dZ_s)^m, and the joint
 kernel of the p_m is the harmonic kernel of the symmetric-plus-powers
-ideal ik(d, k).  So one routine, `_box_kernels(k, d)`, solves the power
-sums' joint kernel on the box, and it serves both this module and
-`harmonic.perp_basis`.  It runs on the engine of the jet invariants,
-`linalg.graded_kernels`: one null space per grade, with the rows the
-engine's syzygy criterion shows to be dependent skipped.  Every grade lists
-its columns in ascending tuple order; the harmonic kernel takes each
-grade's null space as it comes, and the canonical tensor basis is the
-reduced row echelon form of each grade's null space.  Only the quotient
-route of `harmonic` stays off this engine, on purpose: it is the
-independent check of the kernel's dimension.
+ideal ik(d, k), so `harmonic.perp_basis` makes the same `_box_kernels`
+call.  Only the quotient route of `harmonic` stays off it, on purpose: it
+is the independent check of the kernel's dimension.
 
 Two translations connect tensors to polynomials: `to_harmonic` maps the
 f-basis to monomials in auxiliary Z variables (turning insertion operators
@@ -50,10 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
-from operator import mul
+from operator import sub
 
 from .errors import IndexOutOfRangeError
-from .linalg import echelon_of, graded_kernels, rank_of
+from .jets import _multidegree_kernels
+from .linalg import echelon_of, rank_of
 from .polynomials import (
     Poly,
     TENSOR_Y,
@@ -190,13 +185,9 @@ def invariant_tensor_basis(k: int, d: int, caps: ResourceCaps | None = None) -> 
     shift acting in slot s.  The J_s commute, so by Newton's identities
     over Q the elementary symmetric functions e_1..e_d and the power sums
     p_m = sum_s J_s^m (m = 1..d) generate the same ideal, and the two
-    operator sets have the same joint kernel.  J^m lowers the grade
-    (coordinate sum) by m and only m <= min(k, d) gives rows, so the box
-    engine `_box_kernels` solves them grade by grade on
-    `linalg.graded_kernels`, which skips the rows its syzygy criterion
-    shows to be dependent; only the grades up to kd/2 can hold an
-    invariant, and only they are solved.
-    The `max_box` cap still sees the whole box.
+    operator sets have the same joint kernel, which `_box_kernels` gives
+    grade by grade (see the module docstring).  The `max_box` cap still
+    sees the whole box.
 
     The returned basis is the reduced echelon basis over the box
     coordinates ordered by (grade, index tuple): deterministic and, for
@@ -208,9 +199,10 @@ def invariant_tensor_basis(k: int, d: int, caps: ResourceCaps | None = None) -> 
     read in pivot order.
 
     Two loops stay apart from `insertion_operator` on purpose: the raising
-    rows of `_box_kernels`, because `insertion_operator` is the oracle
-    these power-sum rows are tested against, and `expand_one_parameter`,
-    the independent side of the one-parameter-expansion property check.
+    rows of `jets._multidegree_kernels`, because `insertion_operator` is
+    the oracle these power-sum rows are tested against, and
+    `expand_one_parameter`, the independent side of the
+    one-parameter-expansion property check.
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
@@ -226,45 +218,18 @@ def _box_kernels(k: int, d: int) -> list[tuple]:
 
     Returns (columns, kernel) per grade w = 0..kd/2: the grade's exponent
     tuples in ascending order, and the `nullspace` canonical basis over
-    them.  p_m lowers the grade by m, so the grades and the shifts
-    1..min(k, d) are the blocks and shifts of `graded_kernels`.  Under
-    f_a <-> Z^a, J^m in slot j is (d/dZ_j)^m, and the kernel is also the
-    harmonic kernel of ik(d, k) in the box of bound k.
-
-    The row of p_m at a column mu of grade w - m has the entry
-    (mu_j+m)!/mu_j! at mu + m*e_j, for each slot j with mu_j + m <= k: the
-    coefficient of f_mu in J^m applied to f_(mu + m*e_j).  Columns are
-    looked up by their mixed-radix index sum mu_j*(k+1)^(d-1-j), in which a
-    raise that stays in the box is an integer addition.
-
-    Only the grades up to kd/2 are solved.  J is a principal nilpotent on
-    the model space, so by Jacobson-Morozov it is the lowering element f of
-    an sl2-triple (e, h, f) with h f_a = (2a - k) f_a.  On the box f acts
-    as p_1 and h has eigenvalue 2w - kd on grade w, and in a
-    finite-dimensional sl2-module f is injective on the eigenspaces of h
-    with positive eigenvalue: every kernel vector lies in the grades up to
-    the middle.
+    them.  The box is the jet block of multidegree (1,...,1) in d variables
+    (see the module docstring): f_a in slot s is X_s^(a), of index
+    s*(k+1) + a, so a jet column t is the exponent tuple with
+    a_s = t_s - s*(k+1), and the jets' monomial order is ascending tuple
+    order.  This is the one place that knows that format.
     """
-    top = d * k // 2
-    blocks: list[list[tuple]] = [[] for _ in range(top + 1)]
-    # product lists each grade in ascending tuple order
-    for idx in product(range(k + 1), repeat=d):
-        if (grade := sum(idx)) <= top:
-            blocks[grade].append(idx)
-    # columns are found by mixed-radix index, in which a raise in the box adds
-    radix = [(k + 1) ** (d - 1 - j) for j in range(d)]
-    index = [{sum(map(mul, b, radix)): ci for ci, b in enumerate(block)} for block in blocks]
-    # rise[a][m] = (a+m)!/a!, the entry of J^m from f_(a+m) to f_a
-    rise = [[factorial(a + m) // factorial(a) for m in range(k + 1 - a)] for a in range(k + 1)]
-
-    def row(i: int, w: int, mu: int) -> dict:
-        m, col = i + 1, index[w]
-        low = blocks[w - m][mu]
-        code = sum(map(mul, low, radix))
-        return {col[code + m * r]: rise[a][m] for a, r in zip(low, radix) if a + m <= k}
-
-    shifts = range(1, min(k, d) + 1)
-    return list(zip(blocks, graded_kernels(list(map(len, blocks)), shifts, row)))
+    columns, kernels = _multidegree_kernels((1,) * d, k)
+    slots = range(0, d * (k + 1), k + 1)
+    return [
+        ([tuple(map(sub, t, slots)) for t in block], kernel)
+        for block, kernel in zip(columns, kernels)
+    ]
 
 
 def wronskian(alpha) -> Poly:

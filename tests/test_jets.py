@@ -28,6 +28,7 @@ from diffhom.linalg import Echelon, nullspace
 from diffhom.polynomials import Poly, SERIES_COEFF, jet_var, mono_sort_key, series_coeff, z_var
 from diffhom.resources import ResourceCaps
 from diffhom.spans import in_span, spans_equal
+from diffhom.tensors import invariant_tensor_basis
 
 X0 = Poly.variable(jet_var(0, 0))
 X1 = Poly.variable(jet_var(1, 0))
@@ -339,6 +340,55 @@ class TestMultidegreeOrbits:
         # solved on 217 of the 789 columns up to the middle weight
         assert len(sizes) == 4
         assert sum(sizes) == 217
+
+
+class TestMultidegreeColumns:
+    """`_multidegree_kernels` grows its columns in monomial order, with no sort
+    per block, so each block is checked against every monomial of its weight."""
+
+    @pytest.mark.parametrize("beta", [(4,), (3, 1), (2, 2, 1), (1, 1, 1)])
+    def test_blocks_are_the_monomials_of_their_weight_in_order(self, beta):
+        k, d = 3, sum(beta)
+        variables = [jet_var(i, j) for i in range(len(beta)) for j in range(k + 1)]
+        columns, kernels = jets._multidegree_kernels(beta, k)
+        assert len(columns) == len(kernels) == d * k // 2 + 1
+        for w, block in enumerate(columns):
+            monomials = [jets._monomial(t, variables) for t in block]
+            assert all(a < b for a, b in zip(monomials, monomials[1:])), w
+            expected = {
+                t
+                for t in combinations_with_replacement(range(len(variables)), d)
+                if tuple(sum(u // (k + 1) == i for u in t) for i in range(len(beta))) == beta
+                and sum(u % (k + 1) for u in t) == w
+            }
+            assert set(block) == expected and len(block) == len(expected), w
+
+
+class TestNewtonShiftBound:
+    """E_m acts on degree-d polynomials as the power sum p_m(J_1..J_d), and p_m
+    with m > d lies in Q[p_1..p_d], so only E_1..E_min(k,d) give rows, for the
+    jets and for the tensor box alike."""
+
+    @pytest.mark.parametrize(
+        "solve,k,d",
+        [
+            (lambda: diff_homog_basis(JetContext(1, 4, 2)), 4, 2),
+            (lambda: diff_homog_basis(JetContext(2, 5, 3)), 5, 3),
+            (lambda: invariant_tensor_basis(5, 3), 5, 3),
+        ],
+        ids=["N1k4d2", "N2k5d3", "tensors(5,3)"],
+    )
+    def test_shifts_stop_at_min_k_d(self, solve, k, d, monkeypatch):
+        seen = []
+        original = jets.graded_kernels
+
+        def recording(sizes, shifts, row):
+            seen.append(list(shifts))
+            return original(sizes, shifts, row)
+
+        monkeypatch.setattr(jets, "graded_kernels", recording)
+        solve()
+        assert seen and all(shifts == list(range(1, min(k, d) + 1)) for shifts in seen)
 
 
 class TestMiddleWeightBound:

@@ -10,9 +10,9 @@ from math import factorial
 
 import pytest
 
-from diffhom import tensors
+from diffhom import jets, tensors
 from diffhom.errors import IndexOutOfRangeError
-from diffhom.harmonic import apply_poly_operator, elementary_symmetric
+from diffhom.harmonic import apply_poly_operator, elementary_symmetric, ik_presentation, perp_basis
 from diffhom.jets import JetContext, is_diff_homogeneous
 from diffhom.linalg import Echelon, echelon_of, nullspace, rank_of
 from diffhom.polynomials import Poly, jet_var, slot_var, z_var
@@ -332,6 +332,33 @@ class TestGradedRouteAgainstWholeBox:
         assert (len(engine), engine.count(None)) == (2187, 554)
         # the per-grade RREF of the kernels inserts each invariant once
         assert (len(inserted), inserted.count(None)) == (120, 0)
+
+
+class TestOneRowBuilder:
+    """The box is the jets' multilinear block: `_box_kernels` builds no rows
+    of its own and makes one `jets._multidegree_kernels` call."""
+
+    @pytest.mark.parametrize(
+        "solve,k,d",
+        [
+            (lambda: invariant_tensor_basis(4, 5), 4, 5),
+            (lambda: perp_basis(ik_presentation(7, 2), 2), 2, 7),
+        ],
+        ids=["tensors(4,5)", "ik(7,2)"],
+    )
+    def test_one_jet_block_call(self, solve, k, d, monkeypatch):
+        assert tensors._multidegree_kernels is jets._multidegree_kernels
+        assert not hasattr(tensors, "graded_kernels")
+        calls = []
+        original = jets._multidegree_kernels
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tensors, "_multidegree_kernels", recording)
+        solve()
+        assert calls == [((1,) * d, k)]
 
 
 class TestWronskian:
