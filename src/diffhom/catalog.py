@@ -1,12 +1,19 @@
 """Enumeration of generator indices and the finite generator catalog.
 
 The quotient of the degree-d invariants by those of lower derivation order
-has an explicit basis of Wronskian determinants.  Two index sets select it:
+has an explicit basis of Wronskian determinants, selected by the nested
+indices: one strictly increasing run of exponents per variable, satisfying
+the bound and witness conditions of `_nested_block`.  The model case (d
+slots, one variable each) is their multilinear block, all runs of length
+one: a tuple (a_1..a_d) with a_j <= j-1 whose witness slot i has a_i = 0
+and whose deletion leaves a_j <= j-1 after removal, which is the condition
+that every later run is tight.
 
-  * model case: tuples (a_1..a_d) admitting a slot i with a_i = 0 whose
-    deletion leaves a staircase-bounded tuple (a_j <= j-1 after removal);
-  * general case: nested tuples (one strictly increasing run of exponents
-    per variable) satisfying the bound and witness conditions below.
+One enumerator walks each composition (r_0..r_n) of d as a block.  Run i
+has C(P_i, r_i) candidates, P_i = r_0 + ... + r_i, and their product
+telescopes to the multinomial d!/(r_0!...r_n!); summed over the
+compositions, that is (n+1)^d.  So the candidates are counted in closed
+form against `max_enumeration` before any is made.
 
 Every nested index produces one generator: the d x d determinant whose
 column s is the a_s-fold transpose-shift of the jet coordinate vector of
@@ -19,7 +26,7 @@ minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import factorial
 
 from .errors import InvalidCompositionError, InvalidIndexError
@@ -30,65 +37,7 @@ from .spans import rank_modulo, span_rank, spans_equal
 
 
 # ---------------------------------------------------------------------------
-# model-case index tuples
-
-
-@dataclass(frozen=True)
-class IndexTuple:
-    """A model-case index with the largest certifying slot as witness."""
-
-    alpha: tuple
-    witness: int  # 1-based slot index with alpha[witness-1] == 0
-
-
-def _deletion_ok(alpha: tuple, i: int) -> bool:
-    """After deleting slot i (1-based), is every entry at most position-1?"""
-    hat = alpha[: i - 1] + alpha[i:]
-    return all(a <= j for j, a in enumerate(hat))
-
-
-def model_witness(alpha: tuple) -> int | None:
-    """Largest slot with a zero entry that certifies membership."""
-    for i in range(len(alpha), 0, -1):
-        if alpha[i - 1] == 0 and _deletion_ok(alpha, i):
-            return i
-    return None
-
-
-def top_order_indices(d: int, caps: ResourceCaps | None = None) -> list[IndexTuple]:
-    """All model-case index tuples for degree d, lexicographically ordered.
-
-    The search box has a_j <= j-1 in slot j: an entry can only exceed its
-    deleted-tuple bound by one, and only in the deleted slot itself, where
-    it is zero.  Witnesses are checked to coincide with the last zero slot,
-    which the partition into classes relies on.
-    """
-    caps = caps or DEFAULT_CAPS
-    caps.check("max_enumeration", factorial(d))
-    out = []
-    for alpha in product(*(range(j) for j in range(1, d + 1))):
-        w = model_witness(alpha)
-        if w is None:
-            continue
-        last_zero = max(i for i, a in enumerate(alpha, start=1) if a == 0)
-        if w != last_zero:
-            raise InvalidIndexError(
-                f"witness {w} of {alpha} differs from last zero slot {last_zero}"
-            )
-        out.append(IndexTuple(alpha, w))
-    return out
-
-
-def model_class_sizes(d: int, caps: ResourceCaps | None = None) -> dict:
-    """Cardinalities of the classes by witness slot (class 1 is empty)."""
-    sizes = {i: 0 for i in range(1, d + 1)}
-    for idx in top_order_indices(d, caps):
-        sizes[idx.witness] += 1
-    return sizes
-
-
-# ---------------------------------------------------------------------------
-# general-case nested indices
+# nested indices, and the model case as their multilinear block
 
 
 @dataclass(frozen=True)
@@ -110,11 +59,7 @@ class NestedIndex:
         return tuple(a for run in self.runs for a in run)
 
     def prefix_sums(self) -> tuple:
-        total, out = 0, []
-        for r in self.lengths:
-            total += r
-            out.append(total)
-        return tuple(out)
+        return tuple(accumulate(self.lengths))
 
     def class_index(self) -> int | None:
         """Largest variable whose run starts with 0."""
@@ -141,24 +86,30 @@ def _bounds_ok(idx: NestedIndex) -> bool:
     return True
 
 
-def _witness_ok(idx: NestedIndex, i: int) -> bool:
-    run = idx.runs[i]
-    prefix = idx.prefix_sums()
-    if not run or run[0] != 0:
-        return False
-    if len(run) > 1 and not run[-1] < prefix[i] - 1:
-        return False
-    for j in range(i + 1, len(idx.runs)):
-        later = idx.runs[j]
-        if later and not later[-1] < prefix[j] - 1:
-            return False
-    return True
+def _nested_block(lengths: tuple):
+    """The nested indices with the given run lengths, in lexicographic order.
 
-
-def is_nested_index(idx: NestedIndex) -> bool:
-    if not _bounds_ok(idx):
-        return False
-    return any(_witness_ok(idx, i) for i in range(len(idx.runs)))
+    Run i ranges over the increasing r_i-subsets of {0..P_i - 1}, where
+    P_i = r_0 + ... + r_i.  It is tight when it is empty or ends below
+    P_i - 1, and run i is a witness when it starts with 0, is tight or has
+    length one, and every later run is tight.  One backward pass finds the
+    largest witness: it stops at the first run that is not tight, since no
+    earlier run can be a witness.  The largest witness is checked to be the
+    class index, which the partition into classes relies on.
+    """
+    prefix = tuple(accumulate(lengths))
+    for runs in product(*(combinations(range(p), r) for p, r in zip(prefix, lengths))):
+        for i in range(len(runs) - 1, -1, -1):
+            run = runs[i]
+            tight = not run or run[-1] < prefix[i] - 1
+            if run and run[0] == 0 and (tight or len(run) == 1):
+                idx = NestedIndex(runs)
+                if idx.class_index() != i:
+                    raise InvalidIndexError(f"last witness {i} of {idx} differs from class index")
+                yield idx
+                break
+            if not tight:
+                break
 
 
 def top_order_nested_indices(
@@ -166,46 +117,43 @@ def top_order_nested_indices(
 ) -> list[NestedIndex]:
     """All nested indices for n+1 variables in degree d, deterministic order.
 
-    Enumerates compositions of d first, then the admissible increasing runs;
-    for each surviving index the class (last run starting with zero) is
-    checked to be the last slot where the full witness condition holds.
-    The degree-one family is built directly and cross-checked against the
-    predicate.
+    One `_nested_block` per composition of d, in lex order, except that the
+    degree-one family runs X_0..X_N.  The (n+1)^d candidates are checked
+    against `max_enumeration` before the first is made.
     """
     caps = caps or DEFAULT_CAPS
-    if d == 1:
-        out = []
-        for i in range(n + 1):
-            runs = tuple((0,) if j == i else () for j in range(n + 1))
-            idx = NestedIndex(runs)
-            if not is_nested_index(idx):
-                raise InvalidIndexError(f"degree-one index {idx} fails the predicate")
-            out.append(idx)
-        return out
+    caps.check("max_enumeration", (n + 1) ** d)
+    # lex order puts e_N first in degree one
+    comps = sorted(compositions(d, n + 1), reverse=d == 1)
+    return [idx for comp in comps for idx in _nested_block(comp)]
 
-    out = []
-    count = 0
-    for comp in compositions(d, n + 1):
-        prefix, s = [], 0
-        for r in comp:
-            s += r
-            prefix.append(s)
-        pools = []
-        for i, r in enumerate(comp):
-            pools.append([()] if r == 0 else list(combinations(range(prefix[i]), r)))
-        for runs in product(*pools):
-            count += 1
-            caps.check("max_enumeration", count)
-            idx = NestedIndex(tuple(runs))
-            witnesses = [i for i in range(n + 1) if _witness_ok(idx, i)]
-            if not witnesses:
-                continue
-            if max(witnesses) != idx.class_index():
-                raise InvalidIndexError(
-                    f"last witness {max(witnesses)} of {idx} differs from class index"
-                )
-            out.append(idx)
-    return out
+
+@dataclass(frozen=True)
+class IndexTuple:
+    """A model-case index with the largest certifying slot as witness."""
+
+    alpha: tuple
+    witness: int  # 1-based slot index with alpha[witness-1] == 0
+
+
+def top_order_indices(d: int, caps: ResourceCaps | None = None) -> list[IndexTuple]:
+    """All model-case index tuples for degree d, lexicographically ordered.
+
+    They are the nested indices with d runs of length one (the d! candidates
+    of a_j <= j-1 are checked against `max_enumeration` first); the witness
+    is the class index, read 1-based.
+    """
+    caps = caps or DEFAULT_CAPS
+    caps.check("max_enumeration", factorial(d))
+    return [IndexTuple(idx.flat, idx.class_index() + 1) for idx in _nested_block((1,) * d)]
+
+
+def model_class_sizes(d: int, caps: ResourceCaps | None = None) -> dict:
+    """Cardinalities of the classes by witness slot (class 1 is empty)."""
+    sizes = {i: 0 for i in range(1, d + 1)}
+    for idx in top_order_indices(d, caps):
+        sizes[idx.witness] += 1
+    return sizes
 
 
 def nested_count_formula(n: int, d: int) -> int:

@@ -82,7 +82,7 @@ multidegree beta; raising X_i^(j) to X_i^(j+m) then adds to the code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb, factorial
 from operator import itemgetter
 
@@ -90,7 +90,7 @@ from .errors import IndexOutOfRangeError, UnsupportedVariableError
 # nullspace is unused here, but bench/test_harness.py checks that the tracer
 # patches this `from .linalg import` binding; drop both together
 from .linalg import Echelon, graded_kernels, nullspace  # noqa: F401
-from .polynomials import JET_X, Poly, VarId, _wrap, jet_var, series_coeff
+from .polynomials import JET_X, Poly, VarId, _wrap, compositions, jet_var, series_coeff
 from .resources import DEFAULT_CAPS, ResourceCaps
 
 
@@ -176,16 +176,15 @@ def _orbits(parts: int, d: int) -> dict:
     Maps each non-increasing beta to the sigmas of the other compositions
     alpha in its orbit, sigma being the stable descending argsort of alpha,
     so that beta[r] = alpha[sigma[r]].  The C(d + parts - 1, parts - 1)
-    compositions are walked as bar positions, never the permutations of the
+    compositions are walked by `compositions`, never the permutations of the
     parts.
     """
     orbits: dict = {}
-    for bars in combinations(range(d + parts - 1), parts - 1):
-        alpha = [b - a - 1 for a, b in zip((-1,) + bars, bars + (d + parts - 1,))]
+    for alpha in compositions(d, parts):
         sigma = sorted(range(parts), key=alpha.__getitem__, reverse=True)
         beta = tuple(alpha[s] for s in sigma)
         orbit = orbits.setdefault(beta, [])
-        if beta != tuple(alpha):
+        if beta != alpha:
             orbit.append(sigma)
     return orbits
 

@@ -273,13 +273,21 @@ def _random_poly(rng, variables, max_factors, max_terms):
 
 
 def _specialize_series(p, coefficients):
-    mapping = {}
-    for v in p.variables():
-        if v.family == SERIES_COEFF:
-            mapping[v] = Poly.constant(coefficients[v.i])
-        else:
-            mapping[v] = Poly.variable(v)
-    return p.substitute(mapping)
+    """p with each l_m set to coefficients[m], term by term.
+
+    The l_m sort last in a monomial, so dropping them leaves it sorted.
+    """
+    out = {}
+    for mono, c in p.terms.items():
+        rest = []
+        for v, e in mono:
+            if v.family == SERIES_COEFF:
+                c *= coefficients[v.i] ** e
+            else:
+                rest.append((v, e))
+        rest = tuple(rest)
+        out[rest] = out.get(rest, 0) + c
+    return Poly(out)
 
 
 def _prop_action_group_law(rng, caps, trials):

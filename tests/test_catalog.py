@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import gc
-from itertools import product
-from math import factorial
+from itertools import accumulate, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +28,7 @@ from diffhom.catalog import (
 )
 from diffhom.errors import InvalidCompositionError, InvalidIndexError, ResourceLimitError
 from diffhom.jets import JetContext, is_diff_homogeneous
-from diffhom.polynomials import Poly, jet_var, slot_var
+from diffhom.polynomials import Poly, compositions, jet_var, slot_var
 from diffhom.resources import ResourceCaps
 from diffhom.spans import rank_modulo
 from diffhom.tensors import (
@@ -38,7 +38,7 @@ from diffhom.tensors import (
 )
 
 def refuse(*args, **kwargs):
-    raise AssertionError("called after the max_products check")
+    raise AssertionError("called after the cap check")
 
 
 X0 = Poly.variable(jet_var(0, 0))
@@ -69,6 +69,30 @@ class TestModelIndices:
             expected = factorial(d - 1) * (witness - 1) // (d - 1)
             assert sizes[witness] == expected
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_multilinear_block_matches_the_deletion_definition(self, d):
+        # the model indices, read off the nested block of d length-one runs,
+        # are the staircase tuples whose deletion witness exists, each with
+        # its largest witness
+        def model_witness(alpha):
+            for i in range(len(alpha), 0, -1):
+                hat = alpha[: i - 1] + alpha[i:]
+                if alpha[i - 1] == 0 and all(a <= j for j, a in enumerate(hat)):
+                    return i
+            return None
+
+        staircase = product(*(range(j) for j in range(1, d + 1)))
+        expected = [(a, w) for a in staircase if (w := model_witness(a))]
+        assert [(i.alpha, i.witness) for i in top_order_indices(d)] == expected
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_enumeration_capped_before_any_candidate(self, d, monkeypatch):
+        count = factorial(d)
+        assert len(top_order_indices(d, ResourceCaps(max_enumeration=count))) == count // 2
+        monkeypatch.setattr(catalog_module, "_nested_block", refuse)
+        with pytest.raises(ResourceLimitError, match=f"max_enumeration: needed {count},"):
+            top_order_indices(d, ResourceCaps(max_enumeration=count - 1))
+
 
 class TestNestedIndices:
     def test_small_families(self):
@@ -80,6 +104,28 @@ class TestNestedIndices:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_counting_formula(self, n, d):
         assert len(top_order_nested_indices(n, d)) == nested_count_formula(n, d)
+
+    @pytest.mark.parametrize("n,d", [(1, 5), (2, 4), (3, 3)])
+    def test_enumeration_capped_before_any_candidate(self, n, d, monkeypatch):
+        # the (n+1)^d candidates are counted in closed form before any block
+        # is walked; the count itself passes
+        count = (n + 1) ** d
+        family = top_order_nested_indices(n, d, ResourceCaps(max_enumeration=count))
+        assert len(family) == nested_count_formula(n, d)
+        monkeypatch.setattr(catalog_module, "_nested_block", refuse)
+        with pytest.raises(ResourceLimitError, match=f"max_enumeration: needed {count},"):
+            top_order_nested_indices(n, d, ResourceCaps(max_enumeration=count - 1))
+
+    def test_candidate_count_closed_form(self):
+        # run i has C(P_i, r_i) candidates, P_i = r_0 + ... + r_i; over all
+        # compositions of d into n+1 runs they number (n+1)^d
+        for n in range(5):
+            for d in range(9):
+                total = sum(
+                    prod(comb(p, r) for p, r in zip(accumulate(comp), comp))
+                    for comp in compositions(d, n + 1)
+                )
+                assert total == (n + 1) ** d
 
     def test_degree_one_is_unit_runs(self):
         family = top_order_nested_indices(2, 1)

@@ -395,6 +395,16 @@ def test_oversized_presentations_exit_2_before_they_are_built(argv):
     assert done.stderr.startswith("error: max_")
 
 
+def test_nested_enumeration_refused_before_it_starts():
+    # the 7^8 = 5,764,801 nested candidates are over the default cap, and
+    # their closed-form count refuses them before the first is made
+    done = run_module_within_10s("sigma", "--d", "8", "--N", "6")
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: max_enumeration: needed 5764801, cap is 2000000"
+    ]
+
+
 def test_dcp_at_d8_finishes_within_seconds():
     # e_1..e_8 lie in both ideals and are certified as generators, without
     # their degree windows, which take over 12 s to build
