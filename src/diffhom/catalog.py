@@ -18,9 +18,10 @@ form against `max_enumeration` before any is made.
 Every nested index produces one generator: the d x d determinant whose
 column s is the a_s-fold transpose-shift of the jet coordinate vector of
 the variable assigned to slot s by the sorted slot-to-variable map.  The
-catalog collects the generators in degrees 1..k+1, and the verification
-routines check that they span, are independent modulo lower order, and are
-minimal.
+catalog collects the generators in degrees 1..k+1; `build_catalog` is the
+only builder of generator families.  The verification routines are degree
+entries that read one given catalog: its degree-d family is a basis of the
+top-order quotient, its monomials span the invariants, and it is minimal.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from math import factorial
 
 from .errors import InvalidCompositionError, InvalidIndexError
 from .jets import JetContext, diff_homog_basis
+from .linalg import echelon_of
 from .polynomials import Poly, compositions, determinant, falling_factorial, jet_var
 from .resources import DEFAULT_CAPS, ResourceCaps
-from .spans import rank_modulo, span_rank, spans_equal
+from .spans import rank_modulo, span_rank
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +150,14 @@ def top_order_indices(d: int, caps: ResourceCaps | None = None) -> list[IndexTup
     return [IndexTuple(idx.flat, idx.class_index() + 1) for idx in _nested_block((1,) * d)]
 
 
-def model_class_sizes(d: int, caps: ResourceCaps | None = None) -> dict:
-    """Cardinalities of the classes by witness slot (class 1 is empty)."""
-    sizes = {i: 0 for i in range(1, d + 1)}
-    for idx in top_order_indices(d, caps):
+def model_class_sizes(indices: list[IndexTuple]) -> dict:
+    """Cardinalities of the classes by witness slot (class 1 is empty for d >= 2).
+
+    The indices are the degree-d model indices that `top_order_indices(d)`
+    lists, counted as given rather than enumerated again.
+    """
+    sizes = dict.fromkeys(range(1, len(indices[0].alpha) + 1), 0)
+    for idx in indices:
         sizes[idx.witness] += 1
     return sizes
 
@@ -255,34 +261,29 @@ class GeneratorCatalog:
 def build_catalog(n: int, k: int, caps: ResourceCaps | None = None) -> GeneratorCatalog:
     """The generators of degrees 1..k+1, one determinant per nested index.
 
-    Their number, the sum of the nested-index counts, is checked against
-    `max_products` before any index is enumerated or determinant built.
+    Each degree's family lists its records in index order.  Their number,
+    the sum of the nested-index counts, is checked against `max_products`
+    before any index is enumerated or determinant built.
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_products", sum(nested_count_formula(n, i) for i in range(1, k + 2)))
-    families = tuple(_family(n, degree, caps) for degree in range(1, k + 2))
-    return GeneratorCatalog(n, k, families)
-
-
-def _family(n: int, degree: int, caps: ResourceCaps) -> tuple:
-    """The records of the generators of one degree, one per nested index, in index order."""
-    records = []
-    for idx in top_order_nested_indices(n, degree, caps):
-        poly = build_generator(idx, n, degree)
-        records.append(GeneratorRecord(degree, poly.derivation_order(), idx, poly))
-    return tuple(records)
+    families = []
+    for degree in range(1, k + 2):
+        records = []
+        for idx in top_order_nested_indices(n, degree, caps):
+            poly = build_generator(idx, n, degree)
+            records.append(GeneratorRecord(degree, poly.derivation_order(), idx, poly))
+        families.append(tuple(records))
+    return GeneratorCatalog(n, k, tuple(families))
 
 
 def weighted_signature(n: int, k: int) -> list:
     """(weight, multiplicity) pairs of the generator degrees.
 
-    One weight-1 coordinate per variable, then the nested-index counts in
-    each higher degree up to k+1.
+    The nested-index counts in each degree up to k+1; in degree one that is
+    one weight-1 coordinate per variable.
     """
-    sig = [(1, n + 1)]
-    for degree in range(2, k + 2):
-        sig.append((degree, nested_count_formula(n, degree)))
-    return sig
+    return [(degree, nested_count_formula(n, degree)) for degree in range(1, k + 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,33 +309,44 @@ class QuotientBasisReport:
         return self.spans and self.independent and self.count_matches
 
 
+def degree_quotient_entry(
+    catalog: GeneratorCatalog, degree: int, caps: ResourceCaps | None = None
+) -> QuotientBasisReport:
+    """The catalog's degree-d generators induce a basis of the top-order quotient.
+
+    One echelon of the order-(d-2) invariants of degree d takes every
+    generator of the family, none skipped: the family is independent modulo
+    the lower space when each generator adds a pivot.  The order-(d-1)
+    invariants are given as a basis, so the two span the same space exactly
+    when the echelon's rank is their dimension and it contains each of them.
+    The number of generators must equal the dimension gap.
+    """
+    n, d = catalog.n, degree
+    full = diff_homog_basis(JetContext(n, d - 1, d), caps)
+    lower = diff_homog_basis(JetContext(n, d - 2, d), caps).elements if d >= 2 else []
+    family = catalog.family(d)
+    ech = echelon_of(p.terms for p in lower)
+    pivots = [ech.insert(rec.poly.terms) for rec in family]
+    return QuotientBasisReport(
+        n=n,
+        d=d,
+        full_dimension=full.dimension,
+        lower_dimension=len(lower),
+        family_size=len(family),
+        spans=ech.rank == full.dimension and all(ech.contains(p.terms) for p in full.elements),
+        independent=None not in pivots,
+    )
+
+
 def verify_quotient_basis(
     n: int, d: int, caps: ResourceCaps | None = None
 ) -> QuotientBasisReport:
     """The nested-index generators induce a basis of the top-order quotient.
 
-    Checks that the generators together with the order-(d-2) invariants span
-    the order-(d-1) invariants, that they are independent modulo the lower
-    space, and that their number equals the dimension gap.
+    The `degree_quotient_entry` of degree d, read from the catalog of order
+    d-1.
     """
-    caps = caps or DEFAULT_CAPS
-    full = diff_homog_basis(JetContext(n, d - 1, d), caps)
-    lower_elements = (
-        diff_homog_basis(JetContext(n, d - 2, d), caps).elements if d >= 2 else []
-    )
-    family = [rec.poly for rec in _family(n, d, caps)]
-
-    spans = spans_equal(full.elements, lower_elements + family)
-    independent = rank_modulo(family, lower_elements) == len(family)
-    return QuotientBasisReport(
-        n=n,
-        d=d,
-        full_dimension=full.dimension,
-        lower_dimension=len(lower_elements),
-        family_size=len(family),
-        spans=spans,
-        independent=independent,
-    )
+    return degree_quotient_entry(build_catalog(n, d - 1, caps), d, caps)
 
 
 @dataclass

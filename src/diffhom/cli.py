@@ -194,7 +194,7 @@ def _cmd_verify(args) -> int:
     catalog = cat.build_catalog(args.N, args.k, caps)
     ok = True
     for degree in range(2, args.k + 2):
-        report = cat.verify_quotient_basis(args.N, degree, caps)
+        report = cat.degree_quotient_entry(catalog, degree, caps)
         ok = ok and report.passed
         print(
             f"quotient-basis d={degree}: gap {report.full_dimension}-{report.lower_dimension}"
@@ -222,7 +222,7 @@ def _cmd_sigma(args) -> int:
     _at_least(args, d=1, N=0)
     caps = caps_from_env()
     indices = cat.top_order_indices(args.d, caps)
-    sizes = cat.model_class_sizes(args.d, caps)
+    sizes = cat.model_class_sizes(indices)
     print(f"model indices for d={args.d}: {len(indices)} (d!/2 formula)")
     print(f"  class sizes by witness slot: {sizes}")
     if len(indices) <= 60:

@@ -507,20 +507,20 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
     rational factor, by one lookup of its _ray in the rays of the
     generators, built once per test.  If p = c*g, its degree is deg g <=
     cap, so the product 1*g alone is an exact certificate; the window of
-    deg p would contain p too, so every verdict is unchanged, and a degree
-    that only generators reach is never built.
+    deg p would contain p too, so every verdict is unchanged, and testing a
+    generator builds no window.
 
     The echelon of a degree is built the first time a polynomial needs it
-    and reused for every later one.  `max_products` is checked against the
-    family of the needed degree before anything is built; the lower degrees
-    it reads have smaller families.  The syzygy criterion of the module
-    docstring prunes every degree: the product m*g_j is skipped when m is the pivot
-    column of a product of an earlier generator in degree t - deg g_j,
-    because that degree spans the degree-(t - deg g_j) part of the ideal of
-    g_1..g_(j-1).  So each degree records its rank before each generator,
-    which gives the prefix of its pivot columns that generator may read, and
-    the lower degrees it reads are found by one descending sweep and built
-    first, in increasing degree.
+    and reused for every later one.  The windows grow in degree order: every
+    missing degree up to the needed one is built, lowest first.
+    `max_products` is checked against the family of the needed degree before
+    any window is built; the lower degrees have smaller families.  The
+    syzygy criterion of the module docstring prunes every degree: the
+    product m*g_j is skipped when m is the pivot column of a product of an
+    earlier generator in degree t - deg g_j, because that degree spans the
+    degree-(t - deg g_j) part of the ideal of g_1..g_(j-1).  So each degree
+    records its rank before each generator, which gives the prefix of its
+    pivot columns that generator may read.
     """
     d = presentation.nvars
     gens = [(g.total_degree(), _z_exponents(g, d)) for g in presentation.generators]
@@ -528,19 +528,15 @@ def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: Res
         if not g.is_homogeneous(gd):
             raise DiffhomError(f"{presentation.label}: generator {g.render()} is not homogeneous")
     generator_rays = {_ray(terms) for _, terms in gens if terms}
-    windows: dict[int, tuple] = {}
+    windows: list[tuple] = []
 
     def window(t: int) -> tuple:
-        if t not in windows:
+        if t >= len(windows):
             caps.check(
                 "max_products", sum(comb(t - gd + d - 1, d - 1) for gd, _ in gens if gd <= t)
             )
-            needed = {t}
-            for s in range(t, 0, -1):
-                if s in needed:
-                    needed.update(s - gd for gd, _ in gens if 0 < gd <= s)
-            for s in sorted(needed - windows.keys()):
-                windows[s] = _window(gens, d, s, windows)
+            for s in range(len(windows), t + 1):
+                windows.append(_window(gens, d, s, windows))
         return windows[t]
 
     def member(p: Poly) -> bool:
@@ -573,12 +569,12 @@ def _ray(terms) -> frozenset:
     return frozenset((exp, Fraction(c, lead)) for exp, c in terms)
 
 
-def _window(gens, d: int, t: int, lower: dict) -> tuple:
+def _window(gens, d: int, t: int, lower: list) -> tuple:
     """The echelon of the products m*g of degree t, pruned by the syzygy criterion.
 
     gens lists (total degree, terms) of homogeneous generators, and lower
-    holds the built windows of the lower degrees.  Returns (echelon,
-    columns, column index, echelon rank before each generator).  Each
+    lists the built windows of the lower degrees, by degree.  Returns
+    (echelon, columns, column index, echelon rank before each generator).  Each
     generator's products are inserted by descending multiplier, skipping
     the multipliers that are pivot columns of the earlier generators in the
     window they come from (this window itself for a constant generator).
@@ -773,8 +769,9 @@ def verify_block_surjectivity(
     """Products of block invariants span the whole invariant space.
 
     The slots 1..d are partitioned into q blocks of size k+1 and one block
-    of size r (d = q(k+1) + r); each block carries its canonical Wronskian
-    basis, and all products over all unordered partitions are collected.
+    of size r (d = q(k+1) + r; when r = 0 it is empty, with Wronskian 1);
+    each block carries its canonical Wronskian basis, and all products over
+    all unordered partitions are collected.
     Reordering within a block only changes basis, and permuting equal-size
     blocks fixes the product, so the products over all d! orderings of the
     slots are this same family: a shortfall in rank is final.  It has d!/q!
@@ -789,13 +786,10 @@ def verify_block_surjectivity(
     slots = tuple(range(1, d + 1))
 
     partitions = []
-    if r:
-        for small in combinations(slots, r):
-            remaining = tuple(x for x in slots if x not in small)
-            for big_blocks in _equal_blocks(remaining, k + 1):
-                partitions.append(big_blocks + (small,))
-    else:
-        partitions.extend(_equal_blocks(slots, k + 1))
+    for small in combinations(slots, r):
+        remaining = tuple(x for x in slots if x not in small)
+        for big_blocks in _equal_blocks(remaining, k + 1):
+            partitions.append(big_blocks + (small,))
 
     family = [
         _block_product(blocks, alphas)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 from itertools import accumulate, product
 from math import comb, factorial, prod
@@ -16,6 +17,7 @@ from diffhom.catalog import (
     build_generator,
     composition_to_function,
     degree_generation_entry,
+    degree_quotient_entry,
     function_to_composition,
     model_class_sizes,
     nested_count_formula,
@@ -27,10 +29,10 @@ from diffhom.catalog import (
     weighted_signature,
 )
 from diffhom.errors import InvalidCompositionError, InvalidIndexError, ResourceLimitError
-from diffhom.jets import JetContext, is_diff_homogeneous
+from diffhom.jets import JetContext, diff_homog_basis, is_diff_homogeneous
 from diffhom.polynomials import Poly, compositions, jet_var, slot_var
 from diffhom.resources import ResourceCaps
-from diffhom.spans import rank_modulo
+from diffhom.spans import rank_modulo, spans_equal
 from diffhom.tensors import (
     project_to_symmetric,
     tensor_from_multilinear,
@@ -63,7 +65,7 @@ class TestModelIndices:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_class_sizes(self, d):
-        sizes = model_class_sizes(d)
+        sizes = model_class_sizes(top_order_indices(d))
         assert sizes[1] == 0
         for witness in range(1, d + 1):
             expected = factorial(d - 1) * (witness - 1) // (d - 1)
@@ -188,8 +190,6 @@ class TestBuildGenerator:
         assert build_generator(idx, 1, 1) == X0
 
     def test_degree_three_orders_and_independence(self):
-        from diffhom.jets import diff_homog_basis
-
         family = [build_generator(idx, 1, 3) for idx in top_order_nested_indices(1, 3)]
         assert all(g.derivation_order() == 2 for g in family)
         lower = diff_homog_basis(JetContext(1, 1, 3)).elements
@@ -240,12 +240,73 @@ class TestTriangularity:
             assert coeff == expected or coeff == -expected
 
 
+def quotient_oracle(catalog, d):
+    """The quotient-basis fields, from two separate rankings.
+
+    (full dimension, lower dimension, family size, spans, independent): the
+    full space is compared with the lower space plus the family, and the
+    family is ranked modulo the lower space.
+    """
+    full = diff_homog_basis(JetContext(catalog.n, d - 1, d)).elements
+    lower = diff_homog_basis(JetContext(catalog.n, d - 2, d)).elements if d >= 2 else []
+    family = [rec.poly for rec in catalog.family(d)]
+    spans = spans_equal(full, lower + family)
+    independent = rank_modulo(family, lower) == len(family)
+    return len(full), len(lower), len(family), spans, independent
+
+
+def quotient_fields(report):
+    return (
+        report.full_dimension,
+        report.lower_dimension,
+        report.family_size,
+        report.spans,
+        report.independent,
+    )
+
+
 class TestVerification:
     @pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 2)])
     def test_quotient_basis(self, n, d):
         report = verify_quotient_basis(n, d)
         assert report.passed
         assert report.family_size == nested_count_formula(n, d)
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in (1, 2) for d in range(1, 6)] + [(3, d) for d in range(1, 5)]
+    )
+    def test_quotient_entry_matches_the_two_span_oracle(self, n, d):
+        catalog = build_catalog(n, d - 1)
+        report = degree_quotient_entry(catalog, d)
+        assert (report.n, report.d) == (n, d)
+        assert quotient_fields(report) == quotient_oracle(catalog, d)
+        assert quotient_fields(verify_quotient_basis(n, d)) == quotient_fields(report)
+
+    @pytest.mark.parametrize(
+        "mutation,expected",
+        [
+            ("duplicate-first", (True, False, False)),
+            ("drop-first", (False, True, False)),
+            ("first-is-lower-order", (False, False, True)),
+        ],
+    )
+    def test_quotient_entry_on_mutated_catalogs(self, mutation, expected):
+        # every generator is inserted, so a dependent one does not hide the
+        # ones after it from the span test
+        catalog = build_catalog(2, 2)
+        family = catalog.family(3)
+        if mutation == "duplicate-first":
+            family = (family[0],) + family
+        elif mutation == "drop-first":
+            family = family[1:]
+        else:
+            order_one = diff_homog_basis(JetContext(2, 1, 3)).elements[0]
+            family = (dataclasses.replace(family[0], poly=order_one),) + family[1:]
+        mutated = dataclasses.replace(catalog, families=catalog.families[:2] + (family,))
+        report = degree_quotient_entry(mutated, 3)
+        assert (report.spans, report.independent, report.count_matches) == expected
+        assert quotient_fields(report) == quotient_oracle(mutated, 3)
+        assert not report.passed
 
     def test_finite_generation_small(self):
         report = verify_finite_generation(1, 1, 4)

@@ -156,6 +156,42 @@ def test_verify_command_builds_one_catalog(capsys, monkeypatch):
     assert built == [(1, 2)]
 
 
+def test_verify_command_builds_each_generator_once(capsys, monkeypatch):
+    # the quotient-basis lines read the command's one catalog
+    from diffhom import catalog
+
+    expected = sum(catalog.build_catalog(1, 3).counts())
+    built = []
+    original = catalog.build_generator
+
+    def counting(idx, n, d):
+        built.append((idx, n, d))
+        return original(idx, n, d)
+
+    monkeypatch.setattr(catalog, "build_generator", counting)
+    code, out, _ = run_cli(capsys, "verify", "--N", "1", "--k", "3", "--dmax", "5")
+    assert code == 0
+    assert "quotient-basis d=4: gap 16-12 family 4 -> pass" in out
+    assert len(built) == expected
+
+
+def test_sigma_enumerates_the_model_indices_once(capsys, monkeypatch):
+    from diffhom import catalog
+
+    walked = []
+    original = catalog._nested_block
+
+    def counting(lengths):
+        walked.append(lengths)
+        return original(lengths)
+
+    monkeypatch.setattr(catalog, "_nested_block", counting)
+    code, out, _ = run_cli(capsys, "sigma", "--d", "5")
+    assert code == 0
+    assert "class sizes by witness slot: {1: 0, 2: 6, 3: 12, 4: 18, 5: 24}" in out
+    assert walked == [(1,) * 5]
+
+
 def test_sigma(capsys):
     code, out, _ = run_cli(capsys, "sigma", "--d", "3", "--N", "1")
     assert code == 0

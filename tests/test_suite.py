@@ -210,6 +210,22 @@ def test_default_suite_builds_each_catalog_once(monkeypatch):
     assert checks and all(check.runner()[2] for check in checks)
 
 
+def refuse_generator(*args, **kwargs):
+    raise AssertionError("check 09 built a generator")
+
+
+def test_quotient_basis_checks_read_the_catalogs_of_check_10(monkeypatch):
+    from diffhom import catalog
+
+    checks = build_checks(SuiteConfig())
+    for check in checks:
+        if check.check_id.startswith("10-"):
+            check.runner()
+    monkeypatch.setattr(catalog, "build_generator", refuse_generator)
+    quotient = [c for c in checks if c.check_id.startswith("09-")]
+    assert quotient and all(check.runner()[2] for check in quotient)
+
+
 def test_minimality_rows_are_the_catalog_entries():
     from diffhom import catalog, suite
 
