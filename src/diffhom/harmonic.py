@@ -39,13 +39,16 @@ and its syzygy criterion.
 
 The quotient route stays apart on purpose, so that a slip in the kernel
 engine cannot hide in the dimension it is checked against: it keeps its
-e_j rows, ranks every landing pair over the whole box, and so gives every
-ik dimension a second, independent computation; it is the one route to
-the dcp dimensions.  Its rows come only from the pairs that land: a
-generator term Z^q meets exactly the monomials of the box shifted by q.
-It numbers the box monomials by their mixed-radix index in base
-box_bound+1, under which a shift that stays in the box is an integer
-addition, and hands its rows to `rank_of` in any order.
+e_j rows and so gives every ik dimension a second, independent
+computation; it is the one route to the dcp dimensions.  It ranks the
+landing pairs degree by degree, and stops at the first degree the ideal
+fills, since the box algebra is generated in degree 1.  Its rows come only
+from the pairs that land: a generator term Z^q meets exactly the
+monomials of the box shifted by q.  It codes the box monomials with one
+bit field per exponent, under which a product is an integer addition and
+a product that leaves the box is seen by one mask, and hands each
+degree's rows to `rank_of` in any order.  `_kernel_dimension` counts the
+kernel vectors of `perp_basis` without building its polynomials.
 `apply_poly_operator` stays the plain operator on whole polynomials.  Kernel
 polynomials are built with their terms already in render order.
 
@@ -59,7 +62,15 @@ presentation, as both presentations are (DeConcini-Procesi); membership
 refuses an inhomogeneous one.  A target that is a nonzero multiple of a
 generator is certified by that one product and builds no window, so the
 e_1..e_d that both presentations of verify_dcp_equality hold cost one set
-lookup each.
+lookup each.  The windows decide the forward inclusion of
+verify_dcp_equality; its backward inclusion is decided once per orbit of
+dcp generators under S_d, on the orbit sums of a Young subgroup
+(`_orbit_members`).
+
+Spanning ranks the derivatives of the column Vandermondes one degree at a
+time, each level spanned by the first derivatives of the one above
+(`_derivative_span_rank`), and tests the dcp generators' annihilation on
+each Vandermonde product alone (`_annihilates`).
 """
 
 from __future__ import annotations
@@ -282,7 +293,7 @@ def dcp_presentation(mu: Partition, caps: ResourceCaps | None = None) -> IdealPr
     is built.
     """
     d = mu.d
-    lows = [max(1, i - mu.cells_in_last_columns(i) + 1) for i in range(1, d + 1)]
+    lows = _dcp_lows(mu)
     (caps or DEFAULT_CAPS).check(
         "max_products",
         sum(comb(d, i) * comb(i, j) for i, lo in enumerate(lows, 1) for j in range(lo, i + 1)),
@@ -293,6 +304,11 @@ def dcp_presentation(mu: Partition, caps: ResourceCaps | None = None) -> IdealPr
             for j in range(lo, i + 1):
                 gens.append(elementary_symmetric(subset, j))
     return IdealPresentation(d, tuple(gens), f"dcp{mu}")
+
+
+def _dcp_lows(mu: Partition) -> list:
+    """For i = 1..d, the least j with e_j(S), |S| = i, a dcp generator (none when above i)."""
+    return [max(1, i - mu.cells_in_last_columns(i) + 1) for i in range(1, mu.d + 1)]
 
 
 def _z_exponents(p: Poly, d: int) -> list:
@@ -382,6 +398,18 @@ def perp_basis(
     return basis
 
 
+def _kernel_dimension(d: int, k: int, caps: ResourceCaps | None = None) -> int:
+    """len(perp_basis(ik_presentation(d, k), k)), without building a polynomial.
+
+    The caps are those of `perp_basis`, in its order: `max_box`, then the
+    2^d - 1 + d terms of ik(d, k) against `max_products`.
+    """
+    caps = caps or DEFAULT_CAPS
+    caps.check("max_box", (k + 1) ** d)
+    caps.check("max_products", 2**d - 1 + d)
+    return sum(len(kernel) for _, kernel in _box_kernels(k, d))
+
+
 def _kernel_polys(columns: list, kernel: list) -> list[Poly]:
     """Kernel vectors over the exponent-tuple columns, as polynomials.
 
@@ -402,39 +430,80 @@ def _kernel_polys(columns: list, kernel: list) -> list[Poly]:
 def _box_quotient_dimension(
     generators, d: int, box_bound: int, caps: ResourceCaps
 ) -> int:
-    """Dimension of (box algebra)/(ideal image), by exact rank.
+    """Dimension of (box algebra)/(ideal image), by exact rank, degree by degree.
 
     Monomials with any exponent above the bound are discarded during
     multiplication, i.e. the computation happens modulo the pure powers
     Z_i^(box_bound+1); the ideal must contain those powers for the answer
     to equal the dimension of the full quotient ring.
 
-    A box monomial Z^m is the column of its mixed-radix index
-    sum m_i (box_bound+1)^(d-1-i).  A product Z^m*Z^e that stays in the
-    box carries no digit, so index(m+e) = index(m) + index(e).  Only the
-    products that land in the box are formed: a generator term c*Z^e
-    contributes to the row of m*g exactly when m_i <= box_bound - e_i, so
-    each term lists the indices of the box shifted by e, one comprehension
-    per coordinate, and adds c at index(m) + index(e) in the row of each.
-    Every landing pair is ranked; the rows go to `rank_of` in any order.
-    The callers check `max_box` before they build the generators.
+    The generators must be homogeneous, or DiffhomError is raised before
+    any row is built.  The rows m*g are then homogeneous, so the rank
+    splits by degree: degree t is ranked from the multipliers of degree
+    t - deg g alone, over the box monomials of degree t.  The box algebra
+    B is generated in degree 1, so once the ideal's image fills a degree t
+    it fills every later one, I_(t+1) >= sum_i Z_i*I_t = B_(t+1): the
+    degrees are ranked in increasing order, and none is built after the
+    first whose rank equals its column count.
+
+    A box monomial Z^m is the column of its code sum m_i (2h)^(d-1-i), h
+    the least power of two above box_bound: one field of 2h values per
+    exponent, so a sum of two box exponents never carries out of its field
+    and code(m+e) = code(m) + code(e).  A generator term c*Z^e with every
+    e_i <= box_bound lands from the multiplier m exactly when every
+    m_i + e_i <= box_bound, that is when no field of code(m) + code(e) +
+    offset reaches h, offset holding h - 1 - box_bound in each field: one
+    addition and one mask per (multiplier, term).  A term with an exponent
+    above the bound never lands.  The row of m*g holds c at code(m) +
+    code(e) for its landing terms, and the rows of a degree go to `rank_of`
+    in any order.  The callers check `max_box` before they build the
+    generators.
     """
-    size = (box_bound + 1) ** d
-    gen_terms = [_z_exponents(g, d) for g in generators]
-    caps.check("max_products", size * max(1, len(gen_terms)))
-    place = [(box_bound + 1) ** (d - 1 - i) for i in range(d)]
-    rows: list = []
-    for terms in gen_terms:
-        by_multiplier: dict = {}
-        for e, c in terms:
-            shifted = [0]
-            for x, p in zip(e, place):
-                shifted = [s + j for s in shifted for j in range(0, (box_bound - x) * p + 1, p)]
-            target = sum(map(mul, e, place))
-            for m in shifted:
-                by_multiplier.setdefault(m, {})[m + target] = c
-        rows += by_multiplier.values()
-    return size - rank_of(rows)
+    half = 1 << box_bound.bit_length()
+    place = [(2 * half) ** (d - 1 - i) for i in range(d)]
+    offset, high = (half - 1 - box_bound) * sum(place), half * sum(place)
+    gens = []
+    for g in generators:
+        degree = g.total_degree()
+        if not g.is_homogeneous(degree):
+            raise DiffhomError(f"box quotient: generator {g.render()} is not homogeneous")
+        codes = [(sum(map(mul, e, place)), c) for e, c in _z_exponents(g, d) if max(e) <= box_bound]
+        gens.append((degree, [(code, code + offset, c) for code, c in codes]))
+    caps.check("max_products", (box_bound + 1) ** d * max(1, len(gens)))
+    multipliers: list = []
+    dimension = 0
+    for t in range(d * box_bound + 1):
+        multipliers.append(_box_degree(t, d, box_bound, place))
+        rows = [
+            row
+            for degree, terms in gens
+            if degree <= t
+            for m in multipliers[t - degree]
+            if (row := {m + code: c for code, shifted, c in terms if not (m + shifted) & high})
+        ]
+        rank = rank_of(rows)
+        dimension += len(multipliers[t]) - rank
+        if rank == len(multipliers[t]):
+            break
+    return dimension
+
+
+def _box_degree(s: int, d: int, bound: int, place: list) -> list:
+    """Codes sum m_i*place[i] of the exponent tuples m in {0..bound}^d with sum s.
+
+    Coordinates are fixed one at a time, each within what the later ones
+    can still absorb, so every partial tuple is completed and none is
+    discarded.
+    """
+    partial = [(0, s)]  # (code so far, degree still to place)
+    for i, p in enumerate(place):
+        room = (d - 1 - i) * bound
+        partial = [
+            (code + j * p, left - j)
+            for code, left in partial
+            for j in range(max(0, left - room), min(bound, left) + 1)
+        ]
+    return [code for code, _ in partial]
 
 
 def quotient_dimension(d: int, k: int, caps: ResourceCaps | None = None) -> int:
@@ -616,18 +685,115 @@ def verify_dcp_equality(
 
     Each generator of either presentation is tested for bounded-degree
     membership in the other ideal; uncertified generators are reported by
-    their canonical rendering.
+    their canonical rendering, in generator order.
+
+    The forward direction tests each ik generator in the degree windows of
+    the dcp ideal (`_membership_test`).  The backward direction decides
+    one verdict per orbit of dcp generators and builds no window.  Both
+    ideals are S_d-stable, so e_j(S) lies in ik exactly when e_j(1..i)
+    does, i = |S|; both are homogeneous, so the verdict bounded by the cap
+    is "j <= cap and e_j(1..i) lies in ik", the verdict of the windows.
+    `_orbit_members` decides that membership.  Only the generators of a
+    failing (i, j) are built, to be rendered, so the C(d, i) subsets are
+    enumerated only for reports that list them.
     """
     caps = caps or DEFAULT_CAPS
     if degree_cap is None:
         degree_cap = d * (k + 1)
     ik = ik_presentation(d, k, caps)
-    dcp = dcp_presentation(balanced_partition(d, k), caps)
-    in_dcp = _membership_test(dcp, degree_cap, caps)
-    in_ik = _membership_test(ik, degree_cap, caps)
+    in_dcp = _membership_test(dcp_presentation(balanced_partition(d, k), caps), degree_cap, caps)
     forward = [g.render() for g in ik.generators if not in_dcp(g)]
-    backward = [g.render() for g in dcp.generators if not in_ik(g)]
-    return DcpEqualityReport(d, k, degree_cap, forward, backward)
+    return DcpEqualityReport(d, k, degree_cap, forward, _uncertified_backward(d, k, degree_cap))
+
+
+def _uncertified_backward(d: int, k: int, degree_cap: int) -> list:
+    """The renderings of the dcp generators not certified in ik, in generator order."""
+    uncertified = []
+    for i, lo in enumerate(_dcp_lows(balanced_partition(d, k)), 1):
+        degrees = range(lo, min(i, degree_cap) + 1)
+        failing = [j for j, member in zip(degrees, _orbit_members(d, k, i, degrees)) if not member]
+        failing += range(max(lo, degree_cap + 1), i + 1)
+        if failing:
+            uncertified += [
+                elementary_symmetric(subset, j).render()
+                for subset in combinations(range(1, d + 1), i)
+                for j in failing
+            ]
+    return uncertified
+
+
+def _orbit_members(d: int, k: int, i: int, degrees) -> list:
+    """For each j in degrees, whether e_j(Z_1..Z_i) lies in ik(d, k), on orbit sums.
+
+    ik contains every Z_s^(k+1), so membership is decided in the box
+    algebra B = Q[Z]/(Z_s^(k+1)), where the ideal's degree-j part is
+    spanned by the box multiples m*e_l, deg m = j - l.  For k = 0 the
+    target has an exponent above the box: it is zero in B, a member.  For
+    i = d the target is the generator e_j.
+
+    The target is fixed by G = S_i x S_(d-i), and the ideal is G-stable,
+    so the target lies in it exactly when it lies in the image of the
+    Reynolds operator of G, which commutes with multiplication by the
+    symmetric e_l: that image is spanned by the products e_l*O(m) with the
+    G-orbit sums O(m) of the box monomials.  An orbit is a pair of
+    non-increasing tuples of entries <= k, held as the multiplicities
+    (n_0..n_k) of each value in each block (`_orbits`); the columns are the
+    orbits of degree j, and the target is the one column of
+    (1^j 0^(i-j), 0^(d-i)).  e_l*O(m) raises l positions by one, y_v of
+    the value-v positions of each block (v < k).  The product is the sum,
+    over the y, of the orbit sum of the result, with the number of ways to
+    reach one of its monomials as coefficient: the product over the blocks
+    and the values v >= 1 of C(n''_v, y_(v-1)), n'' the result's
+    multiplicities.  Distinct y give distinct results.  The orbits and
+    raisings of each block are built once for all the degrees.
+    """
+    if k == 0 or i == d:
+        return [True] * len(degrees)
+    orbits: dict = {}
+    raisings: dict = {}
+
+    def orbits_of(n, s):
+        if (n, s) not in orbits:
+            orbits[n, s] = _orbits(n, k, s)
+        return orbits[n, s]
+
+    def raised(counts):
+        """{positions raised: [(result multiplicities, coefficient)]} over every y."""
+        if counts not in raisings:
+            out = raisings[counts] = {}
+            for y in product(*(range(c + 1) for c in counts[:k])):
+                result = tuple(map(add, map(sub, counts, y + (0,)), (0,) + y))
+                out.setdefault(sum(y), []).append((result, prod(map(comb, result[1:], y))))
+        return raisings[counts]
+
+    members = []
+    for j in degrees:
+        ech = Echelon()
+        for s in range(max(0, j - d), j):
+            for first in range(s + 1):
+                for c1 in orbits_of(i, first):
+                    for c2 in orbits_of(d - i, s - first):
+                        second = raised(c2)
+                        ech.insert({
+                            (t1, t2): x1 * x2
+                            for a1, results in raised(c1).items()
+                            for t1, x1 in results
+                            for t2, x2 in second.get(j - s - a1, ())
+                        })
+        members.append(ech.contains({((i - j, j) + (0,) * (k - 1), (d - i,) + (0,) * k): 1}))
+    return members
+
+
+def _orbits(n: int, k: int, s: int) -> list:
+    """The multiplicities (n_0..n_k) of the values 0..k in each non-increasing n-tuple of sum s."""
+    partial = [((), n, s)]  # (multiplicities of k, k-1, ..., positions left, degree left)
+    for v in range(k, 0, -1):
+        partial = [
+            (counts + (m,), left - m, rest - m * v)
+            for counts, left, rest in partial
+            for m in range(min(left, rest // v) + 1)
+        ]
+    return [(left,) + counts[::-1] for counts, left, rest in partial if rest == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -659,70 +825,118 @@ class SpanningReport:
 def verify_spanning(mu, caps: ResourceCaps | None = None) -> SpanningReport:
     """Check that derivatives of the column Vandermondes span the solutions.
 
-    Applies every monomial differential operator up to the degree of the
-    Vandermonde product to each standard tableau's product, and compares the
-    exact rank of the resulting family with the solution-space dimension
-    (computed by the operator-kernel route when the partition is balanced,
-    by the quotient route otherwise).  Operators beyond the degree kill the
-    polynomial, so the budget is complete.
+    Compares the dimension of the span of every derivative of every
+    standard tableau's Vandermonde product Delta_T with the solution-space
+    dimension (counted by the operator-kernel route when the partition is
+    balanced, by the quotient route otherwise), and tests that every
+    generator of dcp_presentation(mu) annihilates every Delta_T.
 
-    Each product is taken apart into exponent terms once.  The operator
-    (d/dZ)^a is nonzero on it exactly when a divides one of its terms, and
-    distinct terms stay distinct after the same derivative, so one pass over
-    the divisors of every term builds the whole family as rows keyed by
-    exponent tuples.  The annihilation test reads the same rows: a
-    generator sum c_q*Z^q acts on the product as the sum of c_q times the
-    row of the divisor q, and a q that divides no term adds nothing.
+    The span is ranked level by level (`_derivative_span_rank`), and the
+    annihilation is tested on each Delta_T alone (`_annihilates`): the
+    operators commute with every d/dZ_i, so a generator that kills Delta_T
+    kills all its derivatives.
 
-    The family's size is known before any of it is built.  A column of
-    length l contributes the l! terms of its Vandermonde, whose exponents
-    are the permutations of 0..l-1; their divisors are the l-tuples whose
-    sorted entries are at most 0, 1, ..., l-1, the (l+1)^(l-1) parking
-    functions of length l.  Columns hold disjoint variables, so each product
-    has the product of those counts as divisors, and `max_products` is
-    checked against that count times the number of tableaux before any
-    Vandermonde is built.
+    Caps are checked before the work they guard: first those of the
+    expected dimension's route, which runs first.  Then, before any
+    Vandermonde is built, `max_products` against the rows the levels take
+    when the claim holds: one per tableau at the top, and d per basis row
+    of each level above the others, at most d times the dimension
+    d!/prod(mu_i!) in all.  Then each level's own row count before it is
+    built, so a false claim cannot run past the cap.
     """
     caps = caps or DEFAULT_CAPS
     mu = mu if isinstance(mu, Partition) else Partition.of(mu)
     d = mu.d
+    k = matching_order(mu)
+    if k is not None:
+        expected, route = _kernel_dimension(d, k, caps), f"kernel(k={k})"
+    else:
+        expected, route = dcp_quotient_dimension(mu, caps), "quotient"
     tableaux = enum_standard_tableaux(mu, caps)
     presentation = dcp_presentation(mu, caps)
     caps.check(
         "max_products",
-        len(tableaux) * prod((n + 1) ** (n - 1) for n in mu.conjugate().nonzero),
+        len(tableaux) + d * factorial(d) // prod(factorial(part) for part in mu.nonzero),
     )
     deltas = [_z_exponents(tableau_vandermonde(t), d) for t in tableaux]
-    # each Z_e sits in one column, so its exponent is below the column length
-    weight = [[falling_factorial(e, f) for f in range(e + 1)] for e in range(d)]
-    gen_terms = [_z_exponents(g, d) for g in presentation.generators]
-    annihilated = True
-    family = []
+    annihilated = _annihilates(presentation, deltas)
+    rank = _derivative_span_rank(deltas, d, caps)
+    return SpanningReport(mu, len(tableaux), annihilated, rank, expected, route)
+
+
+def _derivative_span_rank(deltas: list, d: int, caps: ResourceCaps) -> int:
+    """Dimension of the span of every derivative of the products, level by level.
+
+    deltas lists the products as (exponent tuple, coefficient) terms, all
+    of one degree, with every exponent below d.  The span is graded by
+    degree, and its part V_(t-1) one degree down is spanned by the first
+    derivatives of a basis of V_t, since every derivative of degree t-1 is
+    d/dZ_i of one of degree t (Macaulay's inverse systems).  So V_top is
+    the span of the products, each level is one `Echelon`, the next level
+    takes d/dZ_i of each row of the level that added a pivot (a basis of
+    its span), and the rank is the sum of the levels' ranks.  A monomial
+    is the integer code sum e_i*d^(d-1-i), so d/dZ_i of a row is one pass
+    over its codes: the exponent e_i is the digit (code // d^(d-1-i)) % d,
+    and Z^e goes to e_i*Z^(e-e_i) at code minus d^(d-1-i), distinct codes
+    staying distinct.  `max_products` is checked against each level's
+    d*rank rows before they are built.
+    """
+    place = [d ** (d - 1 - i) for i in range(d)]
+    level = [{sum(map(mul, exp, place)): c for exp, c in delta} for delta in deltas]
+    rank = 0
+    while level:
+        ech = Echelon()
+        basis = [row for row in level if ech.insert(row) is not None]
+        rank += len(basis)
+        caps.check("max_products", d * len(basis))
+        level = [
+            row
+            for b in basis
+            for p in place
+            if (row := {code - p: c * e for code, c in b.items() if (e := code // p % d)})
+        ]
+    return rank
+
+
+def _annihilates(presentation: IdealPresentation, deltas: list) -> bool:
+    """Whether every generator's operator kills every product.
+
+    Every dcp generator is squarefree, so g(d/dZ) Delta = sum c_q
+    (d/dZ)^q Delta over squarefree q, and (d/dZ)^q Delta is nonzero only
+    for a q inside the support of one of Delta's terms.  So each term
+    Z^e of Delta adds prod_(i in q) e_i * Z^(e-q) to the image of each
+    subset q of its support, built once per product, and each generator
+    sums the images of its terms; a q that lies in no support adds
+    nothing.  A generator term that is not squarefree raises
+    DiffhomError.  Subsets are bit masks, and monomials the integer codes
+    of `_derivative_span_rank` (every exponent of a product is below d).
+    """
+    d = presentation.nvars
+    gens = []
+    for g in presentation.generators:
+        terms = _z_exponents(g, d)
+        if any(max(q, default=0) > 1 for q, _ in terms):
+            raise DiffhomError(f"{presentation.label}: generator {g.render()} is not squarefree")
+        gens.append([(sum(1 << i for i, e in enumerate(q) if e), c) for q, c in terms])
+    place = [d ** (d - 1 - i) for i in range(d)]
     for delta in deltas:
         images: dict = {}
         for exp, c in delta:
-            for a in product(*(range(e + 1) for e in exp)):
-                value = c
-                for e, f in zip(exp, a):
-                    if f:
-                        value *= weight[e][f]
-                images.setdefault(a, {})[tuple(map(sub, exp, a))] = value
-        family += images.values()
-        for terms in gen_terms:
+            subsets = [(0, c, sum(map(mul, exp, place)))]
+            for i, e in enumerate(exp):
+                if e:
+                    bit, p = 1 << i, place[i]
+                    subsets += [(mask | bit, value * e, out - p) for mask, value, out in subsets]
+            for mask, value, out in subsets:
+                images.setdefault(mask, {})[out] = value
+        for terms in gens:
             image: dict = {}
-            for q, qc in terms:
-                for out, value in images.get(q, {}).items():
+            for mask, qc in terms:
+                for out, value in images.get(mask, {}).items():
                     image[out] = image.get(out, 0) + qc * value
-            annihilated = annihilated and not any(image.values())
-    rank = rank_of(family)
-    k = matching_order(mu)
-    if k is not None:
-        expected = len(perp_basis(ik_presentation(d, k, caps), k, caps))
-        route = f"kernel(k={k})"
-    else:
-        expected = dcp_quotient_dimension(mu, caps)
-        route = "quotient"
-    return SpanningReport(mu, len(tableaux), annihilated, rank, expected, route)
+            if any(image.values()):
+                return False
+    return True
 
 
 def _equal_blocks(elements: tuple, size: int):

@@ -18,18 +18,6 @@ def span_rank(polys: Sequence[Poly]) -> int:
     return rank_of(p.terms for p in polys)
 
 
-def in_span(p: Poly, polys: Sequence[Poly]) -> bool:
-    return echelon_of(q.terms for q in polys).contains(p.terms)
-
-
-def spans_equal(family_a: Sequence[Poly], family_b: Sequence[Poly]) -> bool:
-    ech_a = echelon_of(p.terms for p in family_a)
-    ech_b = echelon_of(p.terms for p in family_b)
-    if ech_a.rank != ech_b.rank:
-        return False
-    return all(ech_a.contains(p.terms) for p in family_b)
-
-
 def rank_modulo(family: Sequence[Poly], modulus: Sequence[Poly]) -> int:
     """Rank of the family in the quotient by the span of `modulus`."""
     ech = echelon_of(p.terms for p in modulus)

@@ -189,10 +189,6 @@ def _tensor_rows(d, caps):
     yield "wronskian-rank", factorial(d), report.rank, report.passed
 
 
-def _kernel_dimension(d, k, caps):
-    return len(har.perp_basis(har.ik_presentation(d, k, caps), k, caps))
-
-
 def _harmonic_rows(d, k, caps, kernel_dimension):
     yield _eq(f"k={k}", har.closed_form_dimension(d, k), kernel_dimension(d, k, caps))
 
@@ -428,7 +424,7 @@ def build_checks(cfg: SuiteConfig) -> list:
     # Kernels and catalogs that several checks read (04 and 05; 09 and the rows of 10)
     # are computed once per call.  The caches live only as long as these
     # checks, so every suite run still does all of its own work.
-    kernel_dimension = cache(_kernel_dimension)
+    kernel_dimension = cache(har._kernel_dimension)
     catalog = cache(cat.build_catalog)
 
     def grouped(criterion, formula, key, items, rows):

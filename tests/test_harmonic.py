@@ -7,7 +7,8 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +36,12 @@ from diffhom.harmonic import (
 from diffhom.errors import DiffhomError, ResourceLimitError
 from diffhom.harmonic import IdealPresentation
 from diffhom.linalg import Echelon, nullspace, rank_of
-from diffhom.polynomials import Poly, mono_degree, z_var
-from diffhom.resources import ResourceCaps
-from diffhom.spans import span_rank, spans_equal
+from diffhom.polynomials import Poly, falling_factorial, mono_degree, z_var
+from diffhom.resources import DEFAULT_CAPS, ResourceCaps
+from diffhom.spans import span_rank
 from diffhom.tensors import invariant_tensor_basis, to_harmonic
+
+from span_checks import spans_equal
 
 Z1, Z2, Z3 = (Poly.variable(z_var(i)) for i in (1, 2, 3))
 
@@ -154,19 +157,16 @@ class TestMembership:
 
         monkeypatch.setattr(harmonic, "_window", recording)
         assert verify_dcp_equality(6, 2).passed
-        # the ik generators are tested in the dcp ideal and the other way
-        # round; e_1..e_6 are generators of both, so no window is built for
-        # them, and the dcp side reads degrees 0..3 (for the Z_i^3) and the
-        # ik side 0..5; the degree-1 window reads the (empty) degree-0 window
-        # for its pivot columns
+        # only the ik generators are tested in windows, those of the dcp
+        # ideal; e_1..e_6 are generators of both, so no window is built for
+        # them, and the dcp side reads degrees 0..3 (for the Z_i^3); the
+        # degree-1 window reads the (empty) degree-0 window for its pivot
+        # columns.  The dcp generators are decided on orbit sums, in no window
         by_presentation: dict = {}
         for gens, t in built:
             by_presentation.setdefault(id(gens), []).append(t)
-        assert len(built) == 10
-        assert [sorted(degrees) for degrees in by_presentation.values()] == [
-            list(range(4)),
-            list(range(6)),
-        ]
+        assert len(built) == 4
+        assert [sorted(degrees) for degrees in by_presentation.values()] == [list(range(4))]
 
 
 class TestSolutionSpaces:
@@ -304,11 +304,32 @@ class TestSpanning:
         assert report.passed
 
     def test_family_capped_before_any_vandermonde(self, monkeypatch):
-        # 14 tableaux, and 5^3 parking functions for each of the two columns
+        # the expected dimension's route is capped first: (2,2,2,2) is
+        # balanced for k = 3, whose kernel box is 4^8
         monkeypatch.setattr(harmonic, "tableau_vandermonde", refuse("tableau_vandermonde"))
-        monkeypatch.setattr(harmonic, "rank_of", refuse("rank_of"))
-        with pytest.raises(ResourceLimitError, match="max_products: needed 218750,"):
+        monkeypatch.setattr(harmonic, "_box_kernels", refuse("_box_kernels"))
+        with pytest.raises(ResourceLimitError, match="max_box: needed 65536,"):
             verify_spanning(Partition.of((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 2), (1, 1, 1, 1, 1)])
+    def test_levels_capped_before_any_vandermonde(self, shape, monkeypatch):
+        # the tableaux plus d times d!/prod(mu_i!) rows, which the levels of a
+        # true claim never exceed
+        mu = Partition.of(shape)
+        count = len(enum_standard_tableaux(mu)) + mu.d * multinomial(mu)
+        assert verify_spanning(mu, ResourceCaps(max_products=count)).passed
+        monkeypatch.setattr(harmonic, "tableau_vandermonde", refuse("tableau_vandermonde"))
+        with pytest.raises(ResourceLimitError, match=f"max_products: needed {count},"):
+            verify_spanning(mu, ResourceCaps(max_products=count - 1))
+
+    def test_each_level_capped_before_it_is_built(self, monkeypatch):
+        # the top level of (2,2,2) has rank 5, so the next one has 6 * 5 rows
+        mu = Partition.of((2, 2, 2))
+        deltas = [harmonic._z_exponents(tableau_vandermonde(t), 6) for t in enum_standard_tableaux(mu)]
+        inserted = count_inserts(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="max_products: needed 30,"):
+            harmonic._derivative_span_rank(deltas, 6, ResourceCaps(max_products=29))
+        assert len(inserted) == len(deltas)
 
     def test_symmetric_difference_recurrence(self):
         rng = random.Random(5)
@@ -387,6 +408,10 @@ def all_partitions(d):
 
 IK_CASES = [(d, k) for d in range(1, 10) for k in range(d + 1) if (k + 1) ** d <= 729]
 DCP_SHAPES = [mu for d in range(1, 5) for mu in all_partitions(d)]
+QUOTIENT_CASES = [(d, k) for d in range(1, 11) for k in range(d + 1) if (k + 1) ** d <= 1024]
+QUOTIENT_SHAPES = [mu for d in range(1, 6) for mu in all_partitions(d)]
+# the dcp presentations of d = 5 have up to 80 generators over the 5^5 box
+RAISED = ResourceCaps(max_products=10**6)
 
 
 def box(d, bound):
@@ -479,15 +504,52 @@ class TestBoxRoutesAgainstAllPairs:
         expected = rendered(ik_kernel_by_columns(d, k))
         assert rendered(perp_basis(ik_presentation(d, k), k)) == expected
 
-    @pytest.mark.parametrize("d,k", IK_CASES)
+    @pytest.mark.parametrize("d,k", QUOTIENT_CASES)
     def test_ik_quotient(self, d, k):
         gens = [elementary_symmetric(range(1, d + 1), j) for j in range(1, d + 1)]
         assert quotient_dimension(d, k) == quotient_by_all_pairs(gens, d, k)
 
-    @pytest.mark.parametrize("mu", DCP_SHAPES, ids=str)
+    @pytest.mark.parametrize("mu", QUOTIENT_SHAPES, ids=str)
     def test_dcp_quotient(self, mu):
         gens = dcp_presentation(mu).generators
-        assert dcp_quotient_dimension(mu) == quotient_by_all_pairs(gens, mu.d, mu.d - 1)
+        assert dcp_quotient_dimension(mu, RAISED) == quotient_by_all_pairs(gens, mu.d, mu.d - 1)
+
+    def test_quotient_of_generator_subsets(self):
+        # the stop holds for any homogeneous ideal of the box algebra, with
+        # or without the box powers in it
+        rng = random.Random(31)
+        for _ in range(50):
+            d = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                bound = rng.randint(0, 3)
+                pool = ik_presentation(d, bound).generators
+            else:
+                bound = d - 1
+                pool = dcp_presentation(rng.choice(all_partitions(d))).generators
+            gens = rng.sample(pool, rng.randint(0, len(pool)))
+            got = harmonic._box_quotient_dimension(gens, d, bound, DEFAULT_CAPS)
+            assert got == quotient_by_all_pairs(gens, d, bound), (d, bound, gens)
+
+    def test_quotient_stops_at_its_first_full_degree(self, monkeypatch):
+        # the (5,3) box has degrees 0..15 and its quotient is zero from
+        # degree 7 on: degrees 0..7 are ranked, 777 rows of the 3,840 that
+        # every landing pair over the whole box makes
+        ranked = []
+
+        def capture(rows):
+            ranked.append(len(rows))
+            return rank_of(rows)
+
+        monkeypatch.setattr(harmonic, "rank_of", capture)
+        assert quotient_dimension(5, 3) == 60
+        assert len(ranked) == 8
+        assert sum(ranked) == 777
+
+    def test_inhomogeneous_generator_is_refused(self, monkeypatch):
+        monkeypatch.setattr(harmonic, "rank_of", refuse("rank_of"))
+        with pytest.raises(DiffhomError, match="is not homogeneous") as refused:
+            harmonic._box_quotient_dimension([Z2, Z1 + Z1**2], 2, 2, DEFAULT_CAPS)
+        assert "\n" not in str(refused.value)
 
     @pytest.mark.parametrize(
         "mu",
@@ -495,25 +557,22 @@ class TestBoxRoutesAgainstAllPairs:
         + [Partition.of((3, 3)), Partition.of((2, 2, 2))],
         ids=str,
     )
-    def test_spanning_family(self, mu, monkeypatch):
-        # the derivative family is the first set of rows verify_spanning ranks
-        ranked = []
-
-        def capture(rows):
-            ranked.append(list(rows))
-            return rank_of(ranked[-1])
-
-        monkeypatch.setattr(harmonic, "rank_of", capture)
+    def test_spanning_family(self, mu):
+        # the levels rank what every monomial operator applied to every
+        # product spans, and the annihilation flag is the family's
         report = verify_spanning(mu)
-        family = [
-            sum((c * z_monomial(exp) for exp, c in row.items()), Poly.zero())
-            for row in ranked[0]
-        ]
         annihilated, expected = spanning_by_operators(mu, dcp_presentation(mu).generators)
         assert report.annihilated == annihilated
         assert report.rank == span_rank(expected)
-        assert len(family) == len(expected) == spanning_family_size(mu)
-        assert spans_equal(family, expected)
+        assert len(expected) == spanning_family_size(mu)
+
+    @pytest.mark.parametrize("mu", [mu for d in range(1, 7) for mu in all_partitions(d)], ids=str)
+    def test_levels_match_the_family_route(self, mu):
+        deltas = [harmonic._z_exponents(tableau_vandermonde(t), mu.d) for t in enum_standard_tableaux(mu)]
+        presentation = dcp_presentation(mu)
+        annihilated, rank = spanning_by_family(deltas, presentation)
+        assert harmonic._annihilates(presentation, deltas) == annihilated
+        assert harmonic._derivative_span_rank(deltas, mu.d, DEFAULT_CAPS) == rank
 
     @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2)])
     def test_a_generator_that_does_not_annihilate(self, shape, monkeypatch):
@@ -534,9 +593,64 @@ class TestBoxRoutesAgainstAllPairs:
         assert not report.passed
         assert report.rank == span_rank(family)
 
+    def test_a_generator_that_is_not_squarefree_is_refused(self, monkeypatch):
+        mu = Partition.of((2, 2))
+        original = harmonic.dcp_presentation
+
+        def with_square(mu, caps=None):
+            pres = original(mu, caps)
+            return IdealPresentation(pres.nvars, pres.generators + (Z1 * Z1,), pres.label)
+
+        monkeypatch.setattr(harmonic, "dcp_presentation", with_square)
+        with pytest.raises(DiffhomError, match="is not squarefree") as refused:
+            verify_spanning(mu)
+        assert "\n" not in str(refused.value)
+
+
+def spanning_by_family(deltas, presentation):
+    """Annihilation flag and rank from every derivative of every product.
+
+    The operator (d/dZ)^a is nonzero on a product exactly when a divides
+    one of its terms, and distinct terms stay distinct after the same
+    derivative, so one pass over the divisors of every term builds the
+    whole family as rows keyed by exponent tuples.  A generator sum
+    c_q*Z^q acts on the product as the sum of c_q times the row of the
+    divisor q, and a q that divides no term adds nothing.
+    """
+    d = presentation.nvars
+    gen_terms = [harmonic._z_exponents(g, d) for g in presentation.generators]
+    annihilated, family = True, []
+    for delta in deltas:
+        images: dict = {}
+        for exp, c in delta:
+            for a in product(*(range(e + 1) for e in exp)):
+                value = c
+                for e, f in zip(exp, a):
+                    value *= falling_factorial(e, f)
+                images.setdefault(a, {})[tuple(map(sub, exp, a))] = value
+        family += images.values()
+        for terms in gen_terms:
+            image: dict = {}
+            for q, qc in terms:
+                for out, value in images.get(q, {}).items():
+                    image[out] = image.get(out, 0) + qc * value
+            annihilated = annihilated and not any(image.values())
+    return annihilated, rank_of(family)
+
+
+def multinomial(mu):
+    """d!/prod(mu_i!), the dimension of the dcp quotient of mu."""
+    return factorial(mu.d) // prod(factorial(part) for part in mu.nonzero)
+
 
 def spanning_family_size(mu):
-    """The size the max_products cap sees: tableaux times parking functions per column."""
+    """The size of the derivative family: tableaux times parking functions per column.
+
+    A column of length l contributes the l! terms of its Vandermonde, whose
+    exponents are the permutations of 0..l-1; their divisors are the
+    l-tuples whose sorted entries are at most 0, 1, ..., l-1, the
+    (l+1)^(l-1) parking functions of length l.
+    """
     size = len(enum_standard_tableaux(mu))
     for length in mu.conjugate().nonzero:
         size *= (length + 1) ** (length - 1)
@@ -548,6 +662,26 @@ def refuse(name):
         raise AssertionError(f"{name} was called")
 
     return refused
+
+
+@pytest.mark.parametrize("d,k", IK_CASES)
+def test_kernel_dimension_counts_the_basis(d, k):
+    assert harmonic._kernel_dimension(d, k) == len(perp_basis(ik_presentation(d, k), k))
+
+
+@pytest.mark.parametrize(
+    "count",
+    [harmonic._kernel_dimension, lambda d, k, caps: len(perp_basis(ik_presentation(d, k), k, caps))],
+    ids=["kernel_dimension", "perp_basis"],
+)
+def test_kernel_dimension_caps_in_the_order_of_perp_basis(count, monkeypatch):
+    # max_box sees the 2^8 box first, then max_products the 2^8 - 1 + 8
+    # terms of ik(8,1), before any kernel row is built
+    monkeypatch.setattr(harmonic, "_box_kernels", refuse("_box_kernels"))
+    with pytest.raises(ResourceLimitError, match="max_box: needed 256,"):
+        count(8, 1, ResourceCaps(max_box=255, max_products=1))
+    with pytest.raises(ResourceLimitError, match="max_products: needed 263,"):
+        count(8, 1, ResourceCaps(max_products=262))
 
 
 def max_degree(polys):
@@ -699,8 +833,97 @@ def test_generator_above_the_cap_is_not_certified():
 
 
 def test_pruned_membership_inserts_fewer_rows(monkeypatch):
+    # both inclusions at (6,2) on the windows, the route of ideal_membership
+    ik = ik_presentation(6, 2)
+    dcp = dcp_presentation(balanced_partition(6, 2))
     inserted = count_inserts(monkeypatch)
-    assert verify_dcp_equality(6, 2).passed
+    in_dcp = harmonic._membership_test(dcp, 18, DEFAULT_CAPS)
+    in_ik = harmonic._membership_test(ik, 18, DEFAULT_CAPS)
+    assert all(in_dcp(g) for g in ik.generators)
+    assert all(in_ik(g) for g in dcp.generators)
     # every product in the ten degree windows would be 540 rows
     assert len(inserted) == 454
     assert sum(pivot is None for _, pivot in inserted) == 37
+
+
+def test_orbit_sums_insert_fewer_rows(monkeypatch):
+    # verify_dcp_equality(6,2): 41 window rows of the dcp side, 1 dependent,
+    # and one orbit-sum system per (i, j) of the backward direction with
+    # i < 6, 38 rows, 18 dependent
+    inserted = count_inserts(monkeypatch)
+    assert verify_dcp_equality(6, 2).passed
+    assert len(inserted) == 79
+    assert sum(pivot is None for _, pivot in inserted) == 19
+
+
+# ---------------------------------------------------------------------------
+# the backward inclusion on orbit sums against the windows
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_orbit_verdicts_match_the_windows(d):
+    # every e_j(1..i), not only the dcp generators: 462 cases up to d = 7
+    for k in range(d):
+        in_ik = harmonic._membership_test(ik_presentation(d, k), d * (k + 1), DEFAULT_CAPS)
+        for i in range(1, d + 1):
+            degrees = range(1, i + 1)
+            expected = [in_ik(elementary_symmetric(range(1, i + 1), j)) for j in degrees]
+            assert harmonic._orbit_members(d, k, i, degrees) == expected, (k, i)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_backward_reports_match_the_windows_at_every_cap(d):
+    for k in range(d):
+        in_ik = harmonic._membership_test(ik_presentation(d, k), d * (k + 1), DEFAULT_CAPS)
+        verdicts = [(g, in_ik(g)) for g in dcp_presentation(balanced_partition(d, k)).generators]
+        for cap in range(d * (k + 1) + 1):
+            expected = [g.render() for g, ok in verdicts if not (g.total_degree() <= cap and ok)]
+            assert harmonic._uncertified_backward(d, k, cap) == expected, (k, cap)
+
+
+def test_backward_direction_builds_no_dcp_generator(monkeypatch):
+    # the dcp presentation is built once, for the forward windows, and every
+    # backward verdict holds, so no e_j(S) is built to be rendered: the
+    # only elementary symmetric polynomials built are the ik generators
+    mu = balanced_partition(7, 2)
+    dcp = dcp_presentation(mu)
+    built = []
+    original = harmonic.elementary_symmetric
+
+    def counting(var_indices, j):
+        built.append((tuple(var_indices), j))
+        return original(var_indices, j)
+
+    monkeypatch.setattr(harmonic, "elementary_symmetric", counting)
+    presentations = []
+    monkeypatch.setattr(
+        harmonic, "dcp_presentation", lambda mu, caps=None: presentations.append(mu) or dcp
+    )
+    assert verify_dcp_equality(7, 2).passed
+    assert presentations == [mu]
+    # the ik presentation's e_1..e_7 only
+    assert len(built) == 7
+
+
+def test_a_failing_orbit_reports_every_generator_in_order(monkeypatch):
+    # at cap 2 every e_3(S) and e_4 of dcp(1,1,2) fail: e_j(S) is not
+    # certified above the cap, whatever its orbit
+    dcp = dcp_presentation(balanced_partition(4, 2))
+    report = verify_dcp_equality(4, 2, 2)
+    assert report.uncertified_backward == [g.render() for g in dcp.generators if g.total_degree() > 2]
+    # an orbit verdict that fails reports each e_j(S) of its (|S|, j), in
+    # generator order: at (5,2) the five e_3(S) with |S| = 4, each listed
+    # before the e_4(S) of the same S, which passes
+    original = harmonic._orbit_members
+
+    def failing(d, k, i, degrees):
+        return [member and (i, j) != (4, 3) for j, member in zip(degrees, original(d, k, i, degrees))]
+
+    monkeypatch.setattr(harmonic, "_orbit_members", failing)
+    report = verify_dcp_equality(5, 2)
+    assert report.uncertified_backward == [
+        g.render()
+        for g in dcp_presentation(balanced_partition(5, 2)).generators
+        if (len(g.variables()), g.total_degree()) == (4, 3)
+    ]
+    assert len(report.uncertified_backward) == 5

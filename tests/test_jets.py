@@ -27,8 +27,9 @@ from diffhom.jets import (
 from diffhom.linalg import Echelon, nullspace
 from diffhom.polynomials import Poly, SERIES_COEFF, jet_var, mono_sort_key, series_coeff, z_var
 from diffhom.resources import ResourceCaps
-from diffhom.spans import in_span, spans_equal
 from diffhom.tensors import invariant_tensor_basis
+
+from span_checks import in_span, spans_equal
 
 X0 = Poly.variable(jet_var(0, 0))
 X1 = Poly.variable(jet_var(1, 0))
