@@ -54,7 +54,6 @@ from .harmonic import (
     balanced_partition,
     dcp_presentation,
     enum_standard_tableaux,
-    ideal_membership,
     ik_presentation,
     perp_basis,
     quotient_dimension,

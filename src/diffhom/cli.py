@@ -86,7 +86,7 @@ def _cmd_tensor_inv(args) -> int:
 def _cmd_harmonic(args) -> int:
     _at_least(args, d=1, k=0)
     caps = caps_from_env()
-    kernel = len(har.perp_basis(har.ik_presentation(args.d, args.k, caps), args.k, caps))
+    kernel = har._kernel_dimension(args.d, args.k, caps)
     quotient = har.quotient_dimension(args.d, args.k, caps)
     formula = har.closed_form_dimension(args.d, args.k)
     ok = kernel == quotient == formula

@@ -52,20 +52,15 @@ kernel vectors of `perp_basis` without building its polynomials.
 `apply_poly_operator` stays the plain operator on whole polynomials.  Kernel
 polynomials are built with their terms already in render order.
 
-The membership windows skip dependent rows with the same criterion on one
-echelon: with the generators taken in order, the multiple m*g_j is dropped
-when m is a leading term of the span of the earlier generators' multiples,
-because Z^m*g_j = h*g_j - (h - Z^m)*g_j for such an h, and both parts are
-spanned by rows that are kept.  The span, and so every membership verdict,
-is unchanged.  A membership window is one degree of a homogeneous
-presentation, as both presentations are (DeConcini-Procesi); membership
-refuses an inhomogeneous one.  A target that is a nonzero multiple of a
-generator is certified by that one product and builds no window, so the
-e_1..e_d that both presentations of verify_dcp_equality hold cost one set
-lookup each.  The windows decide the forward inclusion of
-verify_dcp_equality; its backward inclusion is decided once per orbit of
-dcp generators under S_d, on the orbit sums of a Young subgroup
-(`_orbit_members`).
+verify_dcp_equality decides each inclusion between the two presentations
+once per S_d-orbit of generators, with no membership window and without
+building the dcp presentation.  The forward inclusion holds because the
+e_j(Z_1..Z_d) are dcp generators and Z_1^(k+1) is their combination with
+e_(k+1)(Z_2..Z_d) that the generating function prod_s (1 + Z_s t) gives,
+an identity checked as an exact polynomial equality
+(`_uncertified_forward`).  The backward inclusion is decided on the orbit
+sums of a Young subgroup (`_orbit_members`).  The tests hold both against
+bounded-degree membership windows.
 
 Spanning ranks the derivatives of the column Vandermondes one degree at a
 time, each level spanned by the first derivatives of the one above
@@ -76,8 +71,7 @@ each Vandermonde product alone (`_annihilates`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import add, mul, sub
 
@@ -88,7 +82,6 @@ from .polynomials import (
     Z_VAR,
     _coeff,
     _wrap,
-    compositions,
     determinant,
     falling_factorial,
     mono_sort_key,
@@ -456,8 +449,10 @@ def _box_quotient_dimension(
     addition and one mask per (multiplier, term).  A term with an exponent
     above the bound never lands.  The row of m*g holds c at code(m) +
     code(e) for its landing terms, and the rows of a degree go to `rank_of`
-    in any order.  The callers check `max_box` before they build the
-    generators.
+    in any order.  Before a degree's rows are built, their number, the
+    multipliers of degree t - deg g summed over the generators g, is checked
+    against `max_products`.  The callers check `max_box` before they build
+    the generators.
     """
     half = 1 << box_bound.bit_length()
     place = [(2 * half) ** (d - 1 - i) for i in range(d)]
@@ -469,11 +464,13 @@ def _box_quotient_dimension(
             raise DiffhomError(f"box quotient: generator {g.render()} is not homogeneous")
         codes = [(sum(map(mul, e, place)), c) for e, c in _z_exponents(g, d) if max(e) <= box_bound]
         gens.append((degree, [(code, code + offset, c) for code, c in codes]))
-    caps.check("max_products", (box_bound + 1) ** d * max(1, len(gens)))
     multipliers: list = []
     dimension = 0
     for t in range(d * box_bound + 1):
         multipliers.append(_box_degree(t, d, box_bound, place))
+        caps.check(
+            "max_products", sum(len(multipliers[t - degree]) for degree, _ in gens if degree <= t)
+        )
         rows = [
             row
             for degree, terms in gens
@@ -537,132 +534,7 @@ def closed_form_dimension(d: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ideal membership and the two-presentation equality
-
-
-def ideal_membership(
-    p: Poly,
-    presentation: IdealPresentation,
-    degree_cap: int | None = None,
-    caps: ResourceCaps | None = None,
-) -> bool:
-    """Bounded-degree linear certificate that p lies in the ideal.
-
-    True means p is an exact linear combination of monomial multiples m*g of
-    the generators with deg(m*g) <= degree_cap.  False only means "not
-    certified within the cap", never a disproof.  The generators must be
-    homogeneous, as those of both presentations are; an inhomogeneous one
-    raises DiffhomError.  The bounded span is then graded, so each
-    homogeneous part of p is tested alone in its own degree, which is
-    equivalent and much smaller.  A p that is c*g for a generator g and a
-    rational c != 0 is certified at once when deg g <= degree_cap, by the
-    single product 1*g, which is the same verdict.
-    """
-    caps = caps or DEFAULT_CAPS
-    if degree_cap is None:
-        degree_cap = caps.membership_degree_cap
-    return _membership_test(presentation, degree_cap, caps)(p)
-
-
-def _membership_test(presentation: IdealPresentation, degree_cap: int, caps: ResourceCaps):
-    """The ideal_membership test for one presentation and cap, as a function of p.
-
-    Every generator must be homogeneous, or DiffhomError is raised before
-    any window is built.  Each homogeneous part of p, of degree t, is then
-    tested in the window of degree t, which is spanned by the products m*g
-    with deg(m*g) = t.
-
-    Before any window, p is compared with the generators up to a nonzero
-    rational factor, by one lookup of its _ray in the rays of the
-    generators, built once per test.  If p = c*g, its degree is deg g <=
-    cap, so the product 1*g alone is an exact certificate; the window of
-    deg p would contain p too, so every verdict is unchanged, and testing a
-    generator builds no window.
-
-    The echelon of a degree is built the first time a polynomial needs it
-    and reused for every later one.  The windows grow in degree order: every
-    missing degree up to the needed one is built, lowest first.
-    `max_products` is checked against the family of the needed degree before
-    any window is built; the lower degrees have smaller families.  The
-    syzygy criterion of the module docstring prunes every degree: the
-    product m*g_j is skipped when m is the pivot column of a product of an
-    earlier generator in degree t - deg g_j, because that degree spans the
-    degree-(t - deg g_j) part of the ideal of g_1..g_(j-1).  So each degree
-    records its rank before each generator, which gives the prefix of its
-    pivot columns that generator may read.
-    """
-    d = presentation.nvars
-    gens = [(g.total_degree(), _z_exponents(g, d)) for g in presentation.generators]
-    for g, (gd, _) in zip(presentation.generators, gens):
-        if not g.is_homogeneous(gd):
-            raise DiffhomError(f"{presentation.label}: generator {g.render()} is not homogeneous")
-    generator_rays = {_ray(terms) for _, terms in gens if terms}
-    windows: list[tuple] = []
-
-    def window(t: int) -> tuple:
-        if t >= len(windows):
-            caps.check(
-                "max_products", sum(comb(t - gd + d - 1, d - 1) for gd, _ in gens if gd <= t)
-            )
-            for s in range(len(windows), t + 1):
-                windows.append(_window(gens, d, s, windows))
-        return windows[t]
-
-    def member(p: Poly) -> bool:
-        if p.is_zero:
-            return True
-        p_terms = _z_exponents(p, d)  # also validates the variable universe
-        if max(sum(exp) for exp, _ in p_terms) > degree_cap:
-            return False
-        if _ray(p_terms) in generator_rays:
-            return True  # p = c*g with deg g = deg p <= cap: the product 1*g
-        targets: dict[int, dict] = {}
-        for exp, c in p_terms:
-            targets.setdefault(sum(exp), {})[exp] = c
-        for t, target in targets.items():
-            ech, _, col_index, _ = window(t)
-            if not ech.contains({col_index[exp]: c for exp, c in target.items()}):
-                return False
-        return True
-
-    return member
-
-
-def _ray(terms) -> frozenset:
-    """The terms (exponent, coefficient) of a nonzero polynomial up to a nonzero factor.
-
-    Each coefficient is divided by that of the least exponent, so p and c*p
-    have the same ray for every rational c != 0, and no other polynomial has.
-    """
-    lead = min(terms)[1]
-    return frozenset((exp, Fraction(c, lead)) for exp, c in terms)
-
-
-def _window(gens, d: int, t: int, lower: list) -> tuple:
-    """The echelon of the products m*g of degree t, pruned by the syzygy criterion.
-
-    gens lists (total degree, terms) of homogeneous generators, and lower
-    lists the built windows of the lower degrees, by degree.  Returns
-    (echelon, columns, column index, echelon rank before each generator).  Each
-    generator's products are inserted by descending multiplier, skipping
-    the multipliers that are pivot columns of the earlier generators in the
-    window they come from (this window itself for a constant generator).
-    """
-    cols = list(compositions(t, d))
-    col_index = {exp: i for i, exp in enumerate(cols)}
-    ech, ranks = Echelon(), []
-    built = ech, cols, col_index, ranks
-    for j, (gd, terms) in enumerate(gens):
-        ranks.append(ech.rank)
-        if gd > t:
-            continue
-        low_ech, low_cols, _, low_ranks = lower[t - gd] if gd else built
-        skip = set(islice(low_ech.leads, low_ranks[j]))
-        for i in reversed(range(len(low_cols))):
-            if i not in skip:
-                m = low_cols[i]
-                ech.insert({col_index[tuple(map(add, m, e))]: c for e, c in terms})
-    return built
+# the two-presentation equality
 
 
 @dataclass
@@ -685,41 +557,85 @@ def verify_dcp_equality(
 
     Each generator of either presentation is tested for bounded-degree
     membership in the other ideal; uncertified generators are reported by
-    their canonical rendering, in generator order.
+    their canonical rendering, in generator order.  Both ideals are
+    homogeneous, so a generator of degree j is certified within the cap
+    exactly when j <= cap and it lies in the other ideal; both are
+    S_d-stable, so a generator shares the verdict of its S_d-orbit.  Each
+    direction decides one verdict per orbit, and neither builds a
+    membership window or `dcp_presentation`:
 
-    The forward direction tests each ik generator in the degree windows of
-    the dcp ideal (`_membership_test`).  The backward direction decides
-    one verdict per orbit of dcp generators and builds no window.  Both
-    ideals are S_d-stable, so e_j(S) lies in ik exactly when e_j(1..i)
-    does, i = |S|; both are homogeneous, so the verdict bounded by the cap
-    is "j <= cap and e_j(1..i) lies in ik", the verdict of the windows.
-    `_orbit_members` decides that membership.  Only the generators of a
-    failing (i, j) are built, to be rendered, so the C(d, i) subsets are
-    enumerated only for reports that list them.
+    - forward (`_uncertified_forward`): e_j(Z_1..Z_d) is itself a dcp
+      generator, and Z_1^(k+1) is the dcp combination that one identity
+      gives, checked as an exact polynomial equality;
+    - backward (`_uncertified_backward`): e_j(S) lies in ik exactly when
+      e_j(1..i) does, i = |S|, which `_orbit_members` decides on orbit sums.
+
+    The ik presentation's term count is checked against `max_products`
+    first, as `ik_presentation` builds it.  Only the dcp generators of a
+    failing orbit are built, to be rendered, so the C(d, i) subsets are
+    enumerated only for reports that list them, and their terms, C(d, i) *
+    C(i, j) for each failing (i, j), are checked against `max_products`
+    before any is built.
     """
     caps = caps or DEFAULT_CAPS
     if degree_cap is None:
         degree_cap = d * (k + 1)
-    ik = ik_presentation(d, k, caps)
-    in_dcp = _membership_test(dcp_presentation(balanced_partition(d, k), caps), degree_cap, caps)
-    forward = [g.render() for g in ik.generators if not in_dcp(g)]
-    return DcpEqualityReport(d, k, degree_cap, forward, _uncertified_backward(d, k, degree_cap))
+    forward = _uncertified_forward(ik_presentation(d, k, caps), k, degree_cap)
+    backward = _uncertified_backward(d, k, degree_cap, caps)
+    return DcpEqualityReport(d, k, degree_cap, forward, backward)
 
 
-def _uncertified_backward(d: int, k: int, degree_cap: int) -> list:
-    """The renderings of the dcp generators not certified in ik, in generator order."""
-    uncertified = []
+def _uncertified_forward(ik: IdealPresentation, k: int, degree_cap: int) -> list:
+    """The renderings of the ik generators not certified in dcp, in generator order.
+
+    e_j(Z_1..Z_d) is the dcp generator of S = {1..d} when lo_d <= j
+    (`_dcp_lows`; lo_d = 1), so it is certified exactly when lo_d <= j <=
+    cap.  The powers Z_s^m, m = k+1, share the verdict of Z_1^m.  Dividing
+    prod_s (1 + Z_s t) by 1 + Z_1 t and reading the coefficient of t^m gives
+
+        (-Z_1)^m = e_m(Z_2..Z_d) - sum_(a<m) e_(m-a)(Z_1..Z_d) * (-Z_1)^a,
+
+    with e_j = 0 above its number of variables, so every term has degree
+    m.  Z_1^m is certified when m <= cap, when `_dcp_lows` selects every
+    element the identity uses (each e_(m-a) at i = d, the least being e_1,
+    and e_m(Z_2..Z_d) at i = d-1 when m <= d-1; for m >= d that term is
+    zero), and when the identity holds as an exact `Poly` equality.  The
+    e_j(Z_1..Z_d) are the ik generators themselves, so e_m(Z_2..Z_d) is
+    the one polynomial built.  An uncertified power is not disproved; the
+    tests hold the report equal to bounded-degree membership windows.
+    """
+    d, m = ik.nvars, k + 1
+    lows = _dcp_lows(balanced_partition(d, k))
+    certified = m <= degree_cap and lows[d - 1] <= 1 and (m >= d or lows[d - 2] <= m)
+    if certified:
+        minus_z1 = -Poly.variable(z_var(1))
+        rest = elementary_symmetric(range(2, d + 1), m) if m < d else Poly.zero()
+        for a in range(max(0, m - d), m):
+            rest = rest - ik.generators[m - a - 1] * minus_z1**a
+        certified = rest == minus_z1**m
+    verdicts = [lows[d - 1] <= j <= degree_cap for j in range(1, d + 1)] + [certified] * d
+    return [g.render() for g, ok in zip(ik.generators, verdicts) if not ok]
+
+
+def _uncertified_backward(d: int, k: int, degree_cap: int, caps: ResourceCaps) -> list:
+    """The renderings of the dcp generators not certified in ik, in generator order.
+
+    The terms of the failing generators are checked against `max_products`
+    before any is built.
+    """
+    failing = []
     for i, lo in enumerate(_dcp_lows(balanced_partition(d, k)), 1):
         degrees = range(lo, min(i, degree_cap) + 1)
-        failing = [j for j, member in zip(degrees, _orbit_members(d, k, i, degrees)) if not member]
-        failing += range(max(lo, degree_cap + 1), i + 1)
-        if failing:
-            uncertified += [
-                elementary_symmetric(subset, j).render()
-                for subset in combinations(range(1, d + 1), i)
-                for j in failing
-            ]
-    return uncertified
+        js = [j for j, member in zip(degrees, _orbit_members(d, k, i, degrees)) if not member]
+        failing.append((i, js + list(range(max(lo, degree_cap + 1), i + 1))))
+    caps.check("max_products", sum(comb(d, i) * comb(i, j) for i, js in failing for j in js))
+    return [
+        elementary_symmetric(subset, j).render()
+        for i, js in failing
+        if js
+        for subset in combinations(range(1, d + 1), i)
+        for j in js
+    ]
 
 
 def _orbit_members(d: int, k: int, i: int, degrees) -> list:

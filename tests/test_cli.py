@@ -442,11 +442,23 @@ def test_nested_enumeration_refused_before_it_starts():
 
 
 def test_dcp_at_d8_finishes_within_seconds():
-    # e_1..e_8 lie in both ideals and are certified as generators, without
-    # their degree windows, which take over 12 s to build
-    done = run_module_within_10s("dcp", "--d", "8", "--k", "3", "--json")
-    assert done.returncode == 0
-    assert json.loads(done.stdout)["status"] == "pass"
+    # each inclusion is decided once per orbit of generators, without the
+    # degree windows, which take over 12 s to build at (8,3), or the dcp
+    # presentation's 645,844 terms at (14,2)
+    for d, k in ((8, 3), (12, 2), (14, 2)):
+        done = run_module_within_10s("dcp", "--d", str(d), "--k", str(k), "--json")
+        assert done.returncode == 0, (d, k)
+        assert json.loads(done.stdout)["status"] == "pass"
+
+
+def test_capped_failing_dcp_report_exits_2():
+    # below every degree but 1 nearly every dcp generator fails, and the
+    # terms of their renderings are counted before any is built
+    done = run_module_within_10s("dcp", "--d", "16", "--k", "2", "--cap", "1")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: max_products: needed ")
 
 
 FUZZ_OPTIONS = {

@@ -23,7 +23,6 @@ from diffhom.harmonic import (
     dcp_quotient_dimension,
     elementary_symmetric,
     enum_standard_tableaux,
-    ideal_membership,
     ik_presentation,
     matching_order,
     perp_basis,
@@ -41,6 +40,8 @@ from diffhom.resources import DEFAULT_CAPS, ResourceCaps
 from diffhom.spans import span_rank
 from diffhom.tensors import invariant_tensor_basis, to_harmonic
 
+import membership_windows
+from membership_windows import ideal_membership, membership_test
 from span_checks import spans_equal
 
 Z1, Z2, Z3 = (Poly.variable(z_var(i)) for i in (1, 2, 3))
@@ -124,9 +125,9 @@ class TestMembership:
         assert not ideal_membership((Z1 + Z2) * Z1**4, ik_presentation(2, 1), 3)
 
     def test_inhomogeneous_presentation_is_refused(self, monkeypatch):
-        monkeypatch.setattr(harmonic, "_window", refuse("_window"))
+        monkeypatch.setattr(membership_windows, "window", refuse("window"))
         pres = IdealPresentation(2, (Z2, Z1 + Z1**2), "custom")
-        # refused before the one-lookup certificate could take the generator
+        # refused before any window, even for a target that is a generator
         with pytest.raises(DiffhomError, match="is not homogeneous") as info:
             ideal_membership(Z1 + Z1**2, pres, 4)
         assert "\n" not in str(info.value)
@@ -148,25 +149,22 @@ class TestMembership:
         ]
 
     def test_equality_builds_one_echelon_per_presentation_and_degree(self, monkeypatch):
-        built = []
-        original = harmonic._window
+        monkeypatch.setattr(membership_windows, "window", refuse("window"))
+        echelons = []
 
-        def recording(gens, d, t, lower):
-            built.append((gens, t))
-            return original(gens, d, t, lower)
+        class Recording(Echelon):
+            def __init__(self):
+                super().__init__()
+                echelons.append(self)
 
-        monkeypatch.setattr(harmonic, "_window", recording)
+        monkeypatch.setattr(harmonic, "Echelon", Recording)
         assert verify_dcp_equality(6, 2).passed
-        # only the ik generators are tested in windows, those of the dcp
-        # ideal; e_1..e_6 are generators of both, so no window is built for
-        # them, and the dcp side reads degrees 0..3 (for the Z_i^3); the
-        # degree-1 window reads the (empty) degree-0 window for its pivot
-        # columns.  The dcp generators are decided on orbit sums, in no window
-        by_presentation: dict = {}
-        for gens, t in built:
-            by_presentation.setdefault(id(gens), []).append(t)
-        assert len(built) == 4
-        assert [sorted(degrees) for degrees in by_presentation.values()] == [list(range(4))]
+        # no membership window: the only echelons are the orbit-sum systems
+        # of the ik ideal, one per degree j of each backward orbit e_j(S)
+        # with |S| = i < 6, here (i, j) = (5, 3), (5, 4), (5, 5); the
+        # forward direction ranks nothing
+        assert harmonic._dcp_lows(balanced_partition(6, 2)) == [2, 3, 4, 5, 3, 1]
+        assert len(echelons) == 3
 
 
 class TestSolutionSpaces:
@@ -410,8 +408,6 @@ IK_CASES = [(d, k) for d in range(1, 10) for k in range(d + 1) if (k + 1) ** d <
 DCP_SHAPES = [mu for d in range(1, 5) for mu in all_partitions(d)]
 QUOTIENT_CASES = [(d, k) for d in range(1, 11) for k in range(d + 1) if (k + 1) ** d <= 1024]
 QUOTIENT_SHAPES = [mu for d in range(1, 6) for mu in all_partitions(d)]
-# the dcp presentations of d = 5 have up to 80 generators over the 5^5 box
-RAISED = ResourceCaps(max_products=10**6)
 
 
 def box(d, bound):
@@ -512,7 +508,7 @@ class TestBoxRoutesAgainstAllPairs:
     @pytest.mark.parametrize("mu", QUOTIENT_SHAPES, ids=str)
     def test_dcp_quotient(self, mu):
         gens = dcp_presentation(mu).generators
-        assert dcp_quotient_dimension(mu, RAISED) == quotient_by_all_pairs(gens, mu.d, mu.d - 1)
+        assert dcp_quotient_dimension(mu) == quotient_by_all_pairs(gens, mu.d, mu.d - 1)
 
     def test_quotient_of_generator_subsets(self):
         # the stop holds for any homogeneous ideal of the box algebra, with
@@ -544,6 +540,20 @@ class TestBoxRoutesAgainstAllPairs:
         assert quotient_dimension(5, 3) == 60
         assert len(ranked) == 8
         assert sum(ranked) == 777
+
+    def test_quotient_caps_the_rows_of_each_degree(self, monkeypatch):
+        # dcp((5,)) holds the 31 e_1(S), so degree 1 is full after 31 rows,
+        # which the cap counts before they are built; every (multiplier,
+        # generator) pair of the 5^5 box would be 3,125 * 80 = 250,000
+        gens = dcp_presentation(Partition.of((5,))).generators
+        assert dcp_quotient_dimension(Partition.of((5,))) == 1
+        assert harmonic._box_quotient_dimension(gens, 5, 4, ResourceCaps(max_products=31)) == 1
+        ranked = []
+        monkeypatch.setattr(harmonic, "rank_of", lambda rows: ranked.append(len(rows)) or 0)
+        with pytest.raises(ResourceLimitError, match="max_products: needed 31, cap is 30"):
+            harmonic._box_quotient_dimension(gens, 5, 4, ResourceCaps(max_products=30))
+        # degree 0 only, which no generator reaches
+        assert ranked == [0]
 
     def test_inhomogeneous_generator_is_refused(self, monkeypatch):
         monkeypatch.setattr(harmonic, "rank_of", refuse("rank_of"))
@@ -751,9 +761,8 @@ def member_by_all_products(p, presentation):
 
 
 def near_generators(gens):
-    """Each generator g, -2/3*g, and g with one term doubled: the one-term
-    certificate must take the first two and only the ones of the last that
-    are multiples of g (a g of one term)."""
+    """Each generator g, -2/3*g, and g with one term doubled: members within
+    the cap, and near misses that are members only for a g of one term."""
     out = []
     for g in gens:
         mono, c = min(g.terms.items())
@@ -833,27 +842,28 @@ def test_generator_above_the_cap_is_not_certified():
 
 
 def test_pruned_membership_inserts_fewer_rows(monkeypatch):
-    # both inclusions at (6,2) on the windows, the route of ideal_membership
+    # both inclusions at (6,2) on the windows of the tests' reference: the
+    # targets reach degree 6 on either side, and every product in those
+    # fourteen windows would be 2,802 rows
     ik = ik_presentation(6, 2)
     dcp = dcp_presentation(balanced_partition(6, 2))
     inserted = count_inserts(monkeypatch)
-    in_dcp = harmonic._membership_test(dcp, 18, DEFAULT_CAPS)
-    in_ik = harmonic._membership_test(ik, 18, DEFAULT_CAPS)
+    in_dcp = membership_test(dcp, 18)
+    in_ik = membership_test(ik, 18)
     assert all(in_dcp(g) for g in ik.generators)
     assert all(in_ik(g) for g in dcp.generators)
-    # every product in the ten degree windows would be 540 rows
-    assert len(inserted) == 454
-    assert sum(pivot is None for _, pivot in inserted) == 37
+    assert len(inserted) == 2098
+    assert sum(pivot is None for _, pivot in inserted) == 430
 
 
 def test_orbit_sums_insert_fewer_rows(monkeypatch):
-    # verify_dcp_equality(6,2): 41 window rows of the dcp side, 1 dependent,
-    # and one orbit-sum system per (i, j) of the backward direction with
-    # i < 6, 38 rows, 18 dependent
+    # verify_dcp_equality(6,2): the forward identity ranks nothing, and the
+    # orbit-sum systems of the backward direction, one per (i, j) with
+    # i < 6, take 38 rows, 18 dependent
     inserted = count_inserts(monkeypatch)
     assert verify_dcp_equality(6, 2).passed
-    assert len(inserted) == 79
-    assert sum(pivot is None for _, pivot in inserted) == 19
+    assert len(inserted) == 38
+    assert sum(pivot is None for _, pivot in inserted) == 18
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +874,7 @@ def test_orbit_sums_insert_fewer_rows(monkeypatch):
 def test_orbit_verdicts_match_the_windows(d):
     # every e_j(1..i), not only the dcp generators: 462 cases up to d = 7
     for k in range(d):
-        in_ik = harmonic._membership_test(ik_presentation(d, k), d * (k + 1), DEFAULT_CAPS)
+        in_ik = membership_test(ik_presentation(d, k), d * (k + 1))
         for i in range(1, d + 1):
             degrees = range(1, i + 1)
             expected = [in_ik(elementary_symmetric(range(1, i + 1), j)) for j in degrees]
@@ -874,19 +884,70 @@ def test_orbit_verdicts_match_the_windows(d):
 @pytest.mark.parametrize("d", range(1, 8))
 def test_backward_reports_match_the_windows_at_every_cap(d):
     for k in range(d):
-        in_ik = harmonic._membership_test(ik_presentation(d, k), d * (k + 1), DEFAULT_CAPS)
+        in_ik = membership_test(ik_presentation(d, k), d * (k + 1))
         verdicts = [(g, in_ik(g)) for g in dcp_presentation(balanced_partition(d, k)).generators]
         for cap in range(d * (k + 1) + 1):
             expected = [g.render() for g, ok in verdicts if not (g.total_degree() <= cap and ok)]
-            assert harmonic._uncertified_backward(d, k, cap) == expected, (k, cap)
+            got = harmonic._uncertified_backward(d, k, cap, DEFAULT_CAPS)
+            assert got == expected, (k, cap)
+
+
+# ---------------------------------------------------------------------------
+# the forward inclusion by one identity against the windows
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_forward_reports_match_the_windows_at_every_cap(d):
+    # every k <= d+1 and every cap: 868 cases up to d = 7
+    for k in range(d + 2):
+        ik = ik_presentation(d, k)
+        in_dcp = membership_test(dcp_presentation(balanced_partition(d, k)), d * (k + 1))
+        verdicts = [(g, in_dcp(g)) for g in ik.generators]
+        for cap in range(d * (k + 1) + 1):
+            expected = [g.render() for g, ok in verdicts if not (g.total_degree() <= cap and ok)]
+            assert harmonic._uncertified_forward(ik, k, cap) == expected, (k, cap)
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (6, 2), (7, 3)])
+def test_forward_needs_every_generator_of_its_identity(d, k, monkeypatch):
+    # without the dcp generators e_(k+1)(S), |S| = d-1, the identity for
+    # Z_1^(k+1) is not a certificate, so every power is listed, and the
+    # e_j, generators of both ideals, stay certified
+    original = harmonic._dcp_lows
+
+    def mutant(mu):
+        lows = original(mu)
+        assert lows[-2] == k + 1
+        lows[-2] = k + 2
+        return lows
+
+    monkeypatch.setattr(harmonic, "_dcp_lows", mutant)
+    report = verify_dcp_equality(d, k)
+    assert report.uncertified_forward == [f"Z{s}^{k + 1}" for s in range(1, d + 1)]
+
+
+def test_a_failing_report_counts_its_renderings_before_building_them(monkeypatch):
+    # at (6,2) and cap 2 the failing dcp generators are e_3..e_5(S) with
+    # |S| = 5 and e_3..e_6: 6*(10+5+1) + 20+15+6+1 = 138 terms, above the
+    # ik presentation's 2^6 - 1 + 6 = 69
+    report = verify_dcp_equality(6, 2, 2, ResourceCaps(max_products=138))
+    assert sum(len(g.split("+")) for g in report.uncertified_backward) == 138
+    built = []
+    original = harmonic.elementary_symmetric
+    monkeypatch.setattr(
+        harmonic, "elementary_symmetric", lambda v, j: built.append(j) or original(v, j)
+    )
+    with pytest.raises(ResourceLimitError, match="max_products: needed 138, cap is 137"):
+        verify_dcp_equality(6, 2, 2, ResourceCaps(max_products=137))
+    # the ik generators only
+    assert built == list(range(1, 7))
 
 
 def test_backward_direction_builds_no_dcp_generator(monkeypatch):
-    # the dcp presentation is built once, for the forward windows, and every
-    # backward verdict holds, so no e_j(S) is built to be rendered: the
-    # only elementary symmetric polynomials built are the ik generators
-    mu = balanced_partition(7, 2)
-    dcp = dcp_presentation(mu)
+    # neither direction builds the dcp presentation or a window, and every
+    # verdict holds, so no e_j(S) is built to be rendered: the only
+    # elementary symmetric polynomials built are the ik generators and the
+    # e_3(Z_2..Z_7) of the forward identity
     built = []
     original = harmonic.elementary_symmetric
 
@@ -895,14 +956,10 @@ def test_backward_direction_builds_no_dcp_generator(monkeypatch):
         return original(var_indices, j)
 
     monkeypatch.setattr(harmonic, "elementary_symmetric", counting)
-    presentations = []
-    monkeypatch.setattr(
-        harmonic, "dcp_presentation", lambda mu, caps=None: presentations.append(mu) or dcp
-    )
+    monkeypatch.setattr(harmonic, "dcp_presentation", refuse("dcp_presentation"))
+    monkeypatch.setattr(membership_windows, "window", refuse("window"))
     assert verify_dcp_equality(7, 2).passed
-    assert presentations == [mu]
-    # the ik presentation's e_1..e_7 only
-    assert len(built) == 7
+    assert built == [(tuple(range(1, 8)), j) for j in range(1, 8)] + [(tuple(range(2, 8)), 3)]
 
 
 def test_a_failing_orbit_reports_every_generator_in_order(monkeypatch):
