@@ -52,34 +52,42 @@ def _emit_json(payload, path: str = "-") -> None:
 def _cmd_dim(args) -> int:
     caps = caps_from_env()
     ctx = jets.JetContext(args.N, args.k, args.d)
+    header = f"N={args.N} d={args.d} k={args.k}: dimension"
+    if args.json is None and not args.basis:
+        # the dimension alone is counted by rank, without building the basis
+        print(header, jets._invariant_dimension(ctx, caps))
+        return 0
     basis = jets.diff_homog_basis(ctx, caps)
     rendered = [p.render() for p in basis.elements]
-    payload = {
-        "N": args.N,
-        "d": args.d,
-        "k": args.k,
-        "dimension": basis.dimension,
-        "basis": rendered,
-    }
     if args.json is not None:
+        payload = {
+            "N": args.N,
+            "d": args.d,
+            "k": args.k,
+            "dimension": basis.dimension,
+            "basis": rendered,
+        }
         _emit_json(payload, args.json)
     else:
-        print(f"N={args.N} d={args.d} k={args.k}: dimension {basis.dimension}")
-        if args.basis:
-            for tag, poly in zip(basis.provenance, rendered):
-                print(f"  [{tag}] {poly}")
+        print(header, basis.dimension)
+        for tag, poly in zip(basis.provenance, rendered):
+            print(f"  [{tag}] {poly}")
     return 0
 
 
 def _cmd_tensor_inv(args) -> int:
     _at_least(args, k=0, d=1)
     caps = caps_from_env()
+    header = f"k={args.k} d={args.d}: dimension"
+    if not args.basis:
+        # the dimension alone is counted by rank, without building the basis
+        print(header, ten._box_dimension(args.k, args.d, caps))
+        return 0
     basis = ten.invariant_tensor_basis(args.k, args.d, caps)
-    print(f"k={args.k} d={args.d}: dimension {len(basis)}")
-    if args.basis:
-        for t in basis:
-            print(f"  {t.render()}")
-            print(f"    harmonic image: {ten.to_harmonic(t).render()}")
+    print(header, len(basis))
+    for t in basis:
+        print(f"  {t.render()}")
+        print(f"    harmonic image: {ten.to_harmonic(t).render()}")
     return 0
 
 

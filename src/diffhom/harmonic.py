@@ -33,7 +33,7 @@ most d entries expresses where one of e_m(d/dZ) has up to C(d, m).  Under
 f_a <-> Z^a the box is the tensor power of the model space and the power
 sums p_m(d/dZ) are those of the shift, so the invariant tensors are the
 same kernel, and `perp_basis` makes the call `tensors._box_kernels` makes
-for them: the multilinear block of `jets._multidegree_kernels`, the jet
+for them: the multilinear block of `jets._multidegree_rows`, the jet
 invariants' row builder.  The `jets` docstring gives its middle-degree cut
 and its syzygy criterion.
 
@@ -48,7 +48,8 @@ monomials of the box shifted by q.  It codes the box monomials with one
 bit field per exponent, under which a product is an integer addition and
 a product that leaves the box is seen by one mask, and hands each
 degree's rows to `rank_of` in any order.  `_kernel_dimension` counts the
-kernel vectors of `perp_basis` without building its polynomials.
+kernel of `perp_basis` by rank (`tensors._box_dimension`), without building
+a kernel vector.
 `apply_poly_operator` stays the plain operator on whole polynomials.  Kernel
 polynomials are built with their terms already in render order.
 
@@ -90,6 +91,7 @@ from .polynomials import (
 )
 from .resources import DEFAULT_CAPS, ResourceCaps
 from .tensors import (
+    _box_dimension,
     _box_kernels,
     canonical_wronskian_exponents,
     tensor_from_multilinear,
@@ -392,15 +394,16 @@ def perp_basis(
 
 
 def _kernel_dimension(d: int, k: int, caps: ResourceCaps | None = None) -> int:
-    """len(perp_basis(ik_presentation(d, k), k)), without building a polynomial.
+    """len(perp_basis(ik_presentation(d, k), k)), counted by rank.
 
     The caps are those of `perp_basis`, in its order: `max_box`, then the
-    2^d - 1 + d terms of ik(d, k) against `max_products`.
+    2^d - 1 + d terms of ik(d, k) against `max_products`.  The count is
+    `tensors._box_dimension`, which builds no RREF and no kernel vector.
     """
     caps = caps or DEFAULT_CAPS
     caps.check("max_box", (k + 1) ** d)
     caps.check("max_products", 2**d - 1 + d)
-    return sum(len(kernel) for _, kernel in _box_kernels(k, d))
+    return _box_dimension(k, d, caps)
 
 
 def _kernel_polys(columns: list, kernel: list) -> list[Poly]:

@@ -40,11 +40,12 @@ blocks that are kept are solved exactly as before.
 Series multiply commutatively, and so do the E_m: E_l E_m and E_m E_l both
 send X_i^(j) to j!/(j-m-l)! X_i^(j-m-l), and a commutator of derivations
 that vanishes on the variables vanishes.  So their transposes commute too,
-which is what the syzygy criterion of `linalg.graded_kernels` needs: the
+which is what the syzygy criterion of `linalg.graded_rows` needs: the
 rows of a weight block are taken operator by operator, E_1 first, and the
 row of E_m at a monomial mu is skipped when mu is the smallest key of a
 kept row of E_1..E_(m-1) in mu's own block.  The kept rows span every row,
-so the kernel and its canonical basis are unchanged.
+so the kernel and its canonical basis are unchanged, and so is the rank:
+a block's kernel has its column count minus that rank.
 
 Each E_m also keeps the multidegree alpha, the number of factors in each
 X_i, and commutes with every permutation of X_0..X_N.  So a weight block
@@ -55,7 +56,10 @@ weight block's RREF is the union of its per-alpha RREFs, and the canonical
 kernel vector of a free column lies in that column's own alpha.  That vector
 is the one whose largest monomial is the free column and which vanishes on
 every other free column, so a relabelled kernel is made canonical again by
-an RREF keyed by descending monomial.  For (N,k,d) = (2,3,4) the 4
+an RREF keyed by descending monomial.  A dimension needs neither the
+relabelling nor a kernel vector: it is the sum over the non-increasing beta
+of |orbit(beta)| times the nullity of beta's blocks, each block's column
+count minus its rank (`_invariant_dimension`).  For (N,k,d) = (2,3,4) the 4
 non-increasing multidegrees have 217 of the 789 columns up to weight 6 and
 324 rows, 130 of them dependent; the criterion keeps 249, and 55 of those
 are still dependent.  Solving all 15 multidegrees kept 896 of 1,185 rows,
@@ -72,8 +76,9 @@ Q[p_1..p_d], so E_1..E_min(k,d) have the joint kernel of E_1..E_k and only
 they give rows.  At N + 1 = d the block of multidegree (1,...,1) is
 multilinear, and with X_s^(a) read as f_a in slot s it is the box
 {0..k}^d of `tensors`: the invariant tensors are the jet invariants of that
-multidegree, and `tensors._box_kernels` reads them off `_multidegree_kernels`,
-the library's one builder of E_m rows.  A column of a block is a sorted
+multidegree, and `tensors._box_kernels` and `tensors._box_dimension` read
+their basis and their dimension off `_multidegree_rows`, the library's one
+builder of E_m rows.  A column of a block is a sorted
 tuple of variable indices, looked up by the mixed-radix code of its
 exponent vector, the exponent of X_i^(j) having base beta_i + 1 in
 multidegree beta; raising X_i^(j) to X_i^(j+m) then adds to the code.
@@ -85,11 +90,10 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb, factorial
 from operator import itemgetter
+from typing import Iterator
 
 from .errors import IndexOutOfRangeError, UnsupportedVariableError
-# nullspace is unused here, but bench/test_harness.py checks that the tracer
-# patches this `from .linalg import` binding; drop both together
-from .linalg import Echelon, graded_kernels, nullspace  # noqa: F401
+from .linalg import Echelon, graded_rows, nullspace, rank_of
 from .polynomials import JET_X, Poly, VarId, _wrap, compositions, jet_var, series_coeff
 from .resources import DEFAULT_CAPS, ResourceCaps
 
@@ -189,12 +193,12 @@ def _orbits(parts: int, d: int) -> dict:
     return orbits
 
 
-def _multidegree_kernels(beta: tuple, k: int) -> tuple[list, list]:
-    """The invariants of multidegree beta, weight block by weight block.
+def _multidegree_rows(beta: tuple, k: int) -> tuple[list, Iterator[list]]:
+    """The invariant system of multidegree beta, weight block by weight block.
 
     Returns, for each weight w up to dk/2, d = sum(beta), the block's columns
-    in monomial order, and the canonical kernels of E_1..E_min(k,d) on their
-    spans from one `graded_kernels` call over all the blocks.
+    in monomial order, and the `graded_rows` generator of the rows of
+    E_1..E_min(k,d) that span each block's system, one list per block.
 
     A column is a sorted tuple of variable indices, where X_i^(j) has index
     i*(k+1) + j, so raising an order by m adds m to an index.  The row of
@@ -252,7 +256,23 @@ def _multidegree_kernels(beta: tuple, k: int) -> tuple[list, list]:
         return out
 
     shifts = range(1, min(k, d) + 1)
-    return columns, graded_kernels(list(map(len, columns)), shifts, row)
+    return columns, graded_rows(list(map(len, columns)), shifts, row)
+
+
+def _multidegree_kernels(beta: tuple, k: int) -> tuple[list, list]:
+    """The columns of each weight block, and the `nullspace` basis of its invariants."""
+    columns, blocks = _multidegree_rows(beta, k)
+    return columns, [nullspace(rows, len(block)) for block, rows in zip(columns, blocks)]
+
+
+def _multidegree_nullity(beta: tuple, k: int) -> int:
+    """The dimension of the invariants of multidegree beta, counted by rank.
+
+    Each block's kernel has its column count minus the rank of its rows, so
+    no RREF is built and no kernel vector is made.
+    """
+    columns, blocks = _multidegree_rows(beta, k)
+    return sum(len(block) - rank_of(rows) for block, rows in zip(columns, blocks))
 
 
 def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> InvariantBasis:
@@ -275,7 +295,8 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
     descending monomial, so that each pivot is its vector's largest
     monomial.  Each weight block's vectors, of every multidegree, are then
     listed by their largest monomial, which is the order of the block's free
-    columns.
+    columns.  `_invariant_dimension` counts the same basis without building
+    it.
     """
     caps = caps or DEFAULT_CAPS
     variables = ctx.variables()
@@ -317,6 +338,22 @@ def diff_homog_basis(ctx: JetContext, caps: ResourceCaps | None = None) -> Invar
             basis.elements.append(_wrap(terms))
             basis.provenance.append(f"w{w}/v{vi}")
     return basis
+
+
+def _invariant_dimension(ctx: JetContext, caps: ResourceCaps | None = None) -> int:
+    """diff_homog_basis(ctx, caps).dimension, counted by rank.
+
+    The cap is that of `diff_homog_basis`.  Rows never mix multidegrees, and
+    the kernel of a permuted multidegree is the permuted kernel, so the
+    dimension is the sum over the non-increasing beta of |orbit(beta)| times
+    beta's nullity: no RREF, no kernel vector and no relabelling.
+    """
+    caps = caps or DEFAULT_CAPS
+    caps.check("max_basis_columns", comb(len(ctx.variables()) + ctx.d - 1, ctx.d))
+    return sum(
+        (1 + len(sigmas)) * _multidegree_nullity(beta, ctx.k)
+        for beta, sigmas in _orbits(ctx.n + 1, ctx.d).items()
+    )
 
 
 @dataclass

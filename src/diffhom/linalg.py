@@ -23,17 +23,20 @@ it knows to be dependent.
 them by descending smallest key, ties by descending largest key, which keeps
 the forward echelon close to reduced (see `_descending_leads`).
 
-`graded_kernels` is the one kernel engine of the library, and
-`jets._multidegree_kernels` its one caller: the jet invariants, the
-invariant tensors and the harmonic box kernel (the last two as the jets'
-multilinear block, through `tensors._box_kernels`) all run on it.  The row
-function returns only nonzero entries.  On each block of a graded
-space on which commuting operators lower the grade, each by at least one,
-it skips the rows that a syzygy criterion shows to be dependent and takes
-one `nullspace` of the rest.  The criterion reads only the smallest keys of
-the rows it kept in lower blocks, so it needs no elimination state.  The
-harmonic quotient route ranks its own rows with `rank_of`, on purpose apart
-from this engine, as the independent check of its kernels.
+`graded_rows` is the one kernel engine of the library, and
+`jets._multidegree_rows` its one caller: the jet invariants, the invariant
+tensors and the harmonic box kernel (the last two as the jets' multilinear
+block, through `tensors._box_kernels` and `tensors._box_dimension`) all run
+on it.  The row function returns only nonzero entries.  On each block of a
+graded space on which commuting operators lower the grade, each by at
+least one, it skips the rows that a syzygy criterion shows to be dependent
+and hands out the rest, one block at a time.  The criterion reads only the
+smallest keys of the rows it kept in lower blocks, so it needs no
+elimination state, and the caller reads each block once: a basis with
+`nullspace`, a dimension with `rank_of`, the block's column count minus
+the rank.  A count so builds no RREF and no kernel vector.  The harmonic
+quotient route ranks its own rows with `rank_of`, on purpose apart from
+this engine, as the independent check of its kernels.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Row = dict  # dict[key, int], primitive
 
@@ -204,7 +207,11 @@ def _descending_leads(rows: Iterable[Mapping[int, object]]) -> list:
 
 
 def rank_of(rows: Iterable[Mapping[int, object]]) -> int:
-    """Rank of the rows, which may come in any order (see `_descending_leads`)."""
+    """Rank of the rows, which may come in any order (see `_descending_leads`).
+
+    The forward echelon that `nullspace` fills, read for its size only: no
+    back-substitution, and no kernel vector.
+    """
     return echelon_of(_descending_leads(rows)).rank
 
 
@@ -224,7 +231,9 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
     either way.
     Vectors stay in integers throughout: the pivot rows are transposed once
     into a map column -> [(pivot, lead, value)], and each vector is scaled
-    by the lcm of the leads it meets before its content is stripped.
+    by the lcm of the leads it meets before its content is stripped.  A
+    caller that needs only the kernel's dimension takes ncols minus
+    `rank_of` of the same rows, which skips the RREF and the vectors.
     """
     echelon = echelon_of(_descending_leads(rows))
     if echelon.rank == ncols:
@@ -233,17 +242,19 @@ def nullspace(rows: Iterable[Mapping[int, object]], ncols: int) -> list[Row]:
     return _kernel(echelon.pivots, ncols)
 
 
-def graded_kernels(
+def graded_rows(
     sizes: Sequence[int], shifts: Sequence[int], row: Callable[[int, int, int], Mapping[int, int]]
-) -> list[list[Row]]:
-    """Canonical joint kernels of commuting graded operators, block by block.
+) -> Iterator[list[Row]]:
+    """Rows spanning the joint kernel system of commuting graded operators, block by block.
 
     Block w of the space has sizes[w] columns, and the operators E_0, E_1, ...
     commute, with E_i mapping block w to block w - shifts[i], every shift
     at least 1.  The kernel of block w is that of the rows e_mu E_i over the
     columns mu of the blocks w - shifts[i], which row(i, w, mu) returns as
-    dicts of their nonzero entries over block w's columns; the result lists
-    one `nullspace` canonical basis per block.
+    dicts of their nonzero entries over block w's columns.  One list of
+    rows is yielded per block, before the next block's rows are built, and
+    the caller reads it: `nullspace` for the canonical kernel basis, or
+    `rank_of` for its dimension, sizes[w] minus the rank.
 
     The rows of a block are requested operator by operator, in list order,
     each by descending mu, and the row of (i, mu) is skipped when mu is the
@@ -253,19 +264,19 @@ def graded_kernels(
     h = e_nu E_l, commuting gives h E_i = (e_nu E_i) E_l, a combination of
     block w's rows of E_l, and (h - h_mu e_mu) E_i combines rows of E_i at
     larger columns.  By induction on i, and on mu from the largest column
-    down, the kept rows span every row, and the kernel is unchanged.  The
-    argument holds in any row order, and h need only be some row of block
-    w - s; taking the kept ones needs no elimination state, so each block's
-    kept rows go to one `nullspace` call.
+    down, the kept rows span every row, so their kernel is the block's
+    kernel and their rank is its rank.  The argument holds in any row
+    order, and h need only be some row of block w - s; taking the kept ones
+    needs no elimination state, so a block's rows are read only by its
+    caller.
 
     For each of the last max(shifts) blocks only the smallest keys of its
     kept rows are remembered, one set per prefix E_0..E_(i-1).
     """
-    kernels: list[list[Row]] = []
     # leads[w][i]: the smallest keys of block w's kept rows of E_0..E_(i-1)
     leads: dict = {}
     reach = max(shifts, default=0)
-    for w, ncols in enumerate(sizes):
+    for w in range(len(sizes)):
         rows, seen, found = [], set(), [set()]
         for i, s in enumerate(shifts):
             if s <= w:
@@ -276,10 +287,9 @@ def graded_kernels(
                         rows.append(r)
                         seen.add(min(r))
             found.append(set(seen))
-        kernels.append(nullspace(rows, ncols))
         leads[w] = found
         leads.pop(w - reach, None)
-    return kernels
+        yield rows
 
 
 def _kernel(piv: dict, ncols: int) -> list[Row]:

@@ -23,13 +23,17 @@ them still dependent.  Every grade would give 11,200 rows, 8,195 of them
 dependent.  This is the library's one route to the basis; the tests hold
 it against two of their own, the insertion kernels intersected grade by
 grade and one null space of every power-sum row on the whole box.
+`_box_dimension(k, d)` reads the same rows for their ranks only: the
+dimension is the sum over the grades of the column count minus the rank,
+with no RREF built and no tensor made.
 
 Under f_a <-> Z^a the box {0..k}^d is the space of polynomials of
 per-variable degree <= k, J^m in one slot is (d/dZ_s)^m, and the joint
 kernel of the p_m is the harmonic kernel of the symmetric-plus-powers
 ideal ik(d, k), so `harmonic.perp_basis` makes the same `_box_kernels`
-call.  Only the quotient route of `harmonic` stays off it, on purpose: it
-is the independent check of the kernel's dimension.
+call, and `harmonic._kernel_dimension` the same `_box_dimension` count.
+Only the quotient route of `harmonic` stays off it, on purpose: it is the
+independent check of the kernel's dimension.
 
 Two translations connect tensors to polynomials: `to_harmonic` maps the
 f-basis to monomials in auxiliary Z variables (turning insertion operators
@@ -47,7 +51,7 @@ from math import factorial
 from operator import sub
 
 from .errors import IndexOutOfRangeError
-from .jets import _multidegree_kernels
+from .jets import _multidegree_kernels, _multidegree_nullity
 from .linalg import echelon_of, rank_of
 from .polynomials import (
     Poly,
@@ -199,7 +203,7 @@ def invariant_tensor_basis(k: int, d: int, caps: ResourceCaps | None = None) -> 
     read in pivot order.
 
     Two loops stay apart from `insertion_operator` on purpose: the raising
-    rows of `jets._multidegree_kernels`, because `insertion_operator` is
+    rows of `jets._multidegree_rows`, because `insertion_operator` is
     the oracle these power-sum rows are tested against, and
     `expand_one_parameter`, the independent side of the
     one-parameter-expansion property check.
@@ -230,6 +234,18 @@ def _box_kernels(k: int, d: int) -> list[tuple]:
         ([tuple(map(sub, t, slots)) for t in block], kernel)
         for block, kernel in zip(columns, kernels)
     ]
+
+
+def _box_dimension(k: int, d: int, caps: ResourceCaps | None = None) -> int:
+    """len(invariant_tensor_basis(k, d, caps)), counted by rank.
+
+    The cap is that of `invariant_tensor_basis`.  Each grade's kernel has
+    its column count minus the rank of the multilinear block's rows, so no
+    RREF is built and no tensor is made.
+    """
+    caps = caps or DEFAULT_CAPS
+    caps.check("max_box", (k + 1) ** d)
+    return _multidegree_nullity((1,) * d, k)
 
 
 def wronskian(alpha) -> Poly:
@@ -298,7 +314,8 @@ def verify_wronskian_basis(d: int, caps: ResourceCaps | None = None) -> Wronskia
 
     The d! polynomials with staircase-bounded exponents are converted to
     tensors, checked to be killed by every insertion operator, and their
-    exact rank is compared with the kernel dimension.
+    exact rank is compared with the kernel dimension, which
+    `_box_dimension` counts without building the kernel.
     """
     caps = caps or DEFAULT_CAPS
     k = d - 1
@@ -310,14 +327,12 @@ def verify_wronskian_basis(d: int, caps: ResourceCaps | None = None) -> Wronskia
     all_invariant = all(
         insertion_operator(t, ell).is_zero for t in tensors for ell in range(1, d + 1)
     )
-    rank = rank_of(t.coords for t in tensors)
-    kernel_dim = len(invariant_tensor_basis(k, d, caps))
     return WronskianBasisReport(
         d=d,
         expected=factorial(d),
-        rank=rank,
+        rank=rank_of(t.coords for t in tensors),
         all_invariant=all_invariant,
-        kernel_dimension=kernel_dim,
+        kernel_dimension=_box_dimension(k, d, caps),
     )
 
 

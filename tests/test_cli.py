@@ -49,6 +49,27 @@ def test_tensor_inv(capsys):
     assert "harmonic image" in out
 
 
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        (("dim", "--N", "2", "--d", "4", "--k", "3"), "DIFFHOM_MAX_BASIS_COLUMNS"),
+        (("tensor-inv", "--k", "3", "--d", "4"), "DIFFHOM_MAX_BOX"),
+    ],
+    ids=["dim", "tensor-inv"],
+)
+def test_dimension_alone_is_the_first_line_of_the_basis(capsys, monkeypatch, argv, cap):
+    # without --basis the dimension is counted by rank, and the basis is not built
+    code, counted, _ = run_cli(capsys, *argv)
+    _, built, _ = run_cli(capsys, *argv, "--basis")
+    assert code == 0
+    assert counted == built.splitlines(keepends=True)[0]
+    # under a cap both routes exit 2 with the same line
+    monkeypatch.setenv(cap, "10")
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == run_cli(capsys, *argv, "--basis")[::2]
+    assert code == 2 and "needed" in err
+
+
 def test_harmonic_agreement(capsys):
     code, out, _ = run_cli(capsys, "harmonic", "--d", "4", "--k", "1")
     assert code == 0

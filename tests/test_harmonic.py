@@ -13,7 +13,7 @@ from operator import sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffhom import harmonic, tensors
+from diffhom import harmonic, jets, tensors
 from diffhom.harmonic import (
     Partition,
     apply_poly_operator,
@@ -305,7 +305,7 @@ class TestSpanning:
         # the expected dimension's route is capped first: (2,2,2,2) is
         # balanced for k = 3, whose kernel box is 4^8
         monkeypatch.setattr(harmonic, "tableau_vandermonde", refuse("tableau_vandermonde"))
-        monkeypatch.setattr(harmonic, "_box_kernels", refuse("_box_kernels"))
+        monkeypatch.setattr(jets, "_multidegree_rows", refuse("_multidegree_rows"))
         with pytest.raises(ResourceLimitError, match="max_box: needed 65536,"):
             verify_spanning(Partition.of((2, 2, 2, 2)))
 
@@ -674,7 +674,11 @@ def refuse(name):
     return refused
 
 
-@pytest.mark.parametrize("d,k", IK_CASES)
+# every box up to 4^6 = 2^12, with the bound up to one past d
+KERNEL_COUNT_CASES = [(d, k) for d in range(1, 13) for k in range(d + 2) if (k + 1) ** d <= 4096]
+
+
+@pytest.mark.parametrize("d,k", KERNEL_COUNT_CASES)
 def test_kernel_dimension_counts_the_basis(d, k):
     assert harmonic._kernel_dimension(d, k) == len(perp_basis(ik_presentation(d, k), k))
 
@@ -686,8 +690,8 @@ def test_kernel_dimension_counts_the_basis(d, k):
 )
 def test_kernel_dimension_caps_in_the_order_of_perp_basis(count, monkeypatch):
     # max_box sees the 2^8 box first, then max_products the 2^8 - 1 + 8
-    # terms of ik(8,1), before any kernel row is built
-    monkeypatch.setattr(harmonic, "_box_kernels", refuse("_box_kernels"))
+    # terms of ik(8,1), before any kernel column or row is built
+    monkeypatch.setattr(jets, "_multidegree_rows", refuse("_multidegree_rows"))
     with pytest.raises(ResourceLimitError, match="max_box: needed 256,"):
         count(8, 1, ResourceCaps(max_box=255, max_products=1))
     with pytest.raises(ResourceLimitError, match="max_products: needed 263,"):

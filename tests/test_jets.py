@@ -10,7 +10,7 @@ from math import comb, factorial
 
 import pytest
 
-from diffhom import jets
+from diffhom import jets, tensors
 from diffhom.errors import (
     IndexOutOfRangeError,
     ResourceLimitError,
@@ -329,18 +329,60 @@ class TestMultidegreeOrbits:
 
     def test_one_kernel_call_per_partition(self, monkeypatch):
         sizes = []
-        original = jets.graded_kernels
+        original = jets.graded_rows
 
         def counting(block_sizes, shifts, row):
             sizes.append(sum(block_sizes))
             return original(block_sizes, shifts, row)
 
-        monkeypatch.setattr(jets, "graded_kernels", counting)
-        diff_homog_basis(JetContext(2, 3, 4))
-        # 4 = 3+1 = 2+2 = 2+1+1: the partitions of 4 into at most 3 parts,
-        # solved on 217 of the 789 columns up to the middle weight
-        assert len(sizes) == 4
-        assert sum(sizes) == 217
+        monkeypatch.setattr(jets, "graded_rows", counting)
+        # the basis and the dimension read the same blocks
+        for solve in (diff_homog_basis, jets._invariant_dimension):
+            sizes.clear()
+            solve(JetContext(2, 3, 4))
+            # 4 = 3+1 = 2+2 = 2+1+1: the partitions of 4 into at most 3 parts,
+            # solved on 217 of the 789 columns up to the middle weight
+            assert len(sizes) == 4
+            assert sum(sizes) == 217
+
+
+# every context with N <= 3, k <= 4 and d <= 5; (3,4,5) needs 42,504 columns
+READER_CONTEXTS = [JetContext(n, k, d) for n in range(1, 4) for k in range(5) for d in range(6)]
+
+
+class TestDimensionReader:
+    """`_invariant_dimension` counts `diff_homog_basis` by rank: the sum over
+    the non-increasing multidegrees of orbit size times nullity."""
+
+    @pytest.mark.parametrize("ctx", READER_CONTEXTS, ids=context_id)
+    def test_counts_the_basis(self, ctx):
+        try:
+            want = diff_homog_basis(ctx).dimension
+        except ResourceLimitError as exc:
+            # outside the cap, the reader is refused with the same line
+            with pytest.raises(ResourceLimitError) as refused:
+                jets._invariant_dimension(ctx)
+            assert str(refused.value) == str(exc)
+            return
+        assert jets._invariant_dimension(ctx) == want
+
+    def test_builds_no_rref_no_kernel_vector_and_no_relabelling(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a kernel was read")
+
+        monkeypatch.setattr(Echelon, "pivots", property(refused))
+        monkeypatch.setattr(jets, "nullspace", refused)
+        # 15 multidegrees in 4 orbits: only the 4 are solved
+        assert jets._invariant_dimension(JetContext(2, 3, 4)) == 3**4
+
+    def test_caps_like_the_basis(self):
+        caps = ResourceCaps(max_basis_columns=1364)
+        messages = []
+        for count in (jets._invariant_dimension, diff_homog_basis):
+            with pytest.raises(ResourceLimitError) as refused:
+                count(JetContext(2, 3, 4), caps)
+            messages.append(str(refused.value))
+        assert messages == ["max_basis_columns: needed 1365, cap is 1364"] * 2
 
 
 class TestMultidegreeColumns:
@@ -376,18 +418,20 @@ class TestNewtonShiftBound:
             (lambda: diff_homog_basis(JetContext(1, 4, 2)), 4, 2),
             (lambda: diff_homog_basis(JetContext(2, 5, 3)), 5, 3),
             (lambda: invariant_tensor_basis(5, 3), 5, 3),
+            (lambda: jets._invariant_dimension(JetContext(2, 5, 3)), 5, 3),
+            (lambda: tensors._box_dimension(5, 3), 5, 3),
         ],
-        ids=["N1k4d2", "N2k5d3", "tensors(5,3)"],
+        ids=["N1k4d2", "N2k5d3", "tensors(5,3)", "dimension-N2k5d3", "box-dimension(5,3)"],
     )
     def test_shifts_stop_at_min_k_d(self, solve, k, d, monkeypatch):
         seen = []
-        original = jets.graded_kernels
+        original = jets.graded_rows
 
         def recording(sizes, shifts, row):
             seen.append(list(shifts))
             return original(sizes, shifts, row)
 
-        monkeypatch.setattr(jets, "graded_kernels", recording)
+        monkeypatch.setattr(jets, "graded_rows", recording)
         solve()
         assert seen and all(shifts == list(range(1, min(k, d) + 1)) for shifts in seen)
 

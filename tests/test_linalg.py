@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffhom.linalg import Echelon, echelon_of, graded_kernels, int_row, nullspace, rank_of
+from diffhom.linalg import Echelon, echelon_of, graded_rows, int_row, nullspace, rank_of
 
 
 def test_int_row_clears_denominators():
@@ -367,6 +367,23 @@ def test_graded_kernels_criterion_keeps_every_kernel(family):
             leads[w].setdefault(min(nonzero), set()).add(i)
         return r
 
-    assert graded_kernels(sizes, shifts, recording) == expected
+    blocks = list(graded_rows(sizes, shifts, recording))
+    assert [nullspace(rows, ncols) for rows, ncols in zip(blocks, sizes)] == expected
+    # a block's kernel dimension is its column count minus the rank of its rows
+    assert [ncols - rank_of(rows) for rows, ncols in zip(blocks, sizes)] == list(map(len, expected))
     for i, w, mu in requested:
         assert not any(l < i for l in leads[w - shifts[i]].get(mu, ())), (i, w, mu)
+
+
+def test_graded_rows_builds_one_block_at_a_time():
+    requested = []
+
+    def row(i, w, mu):
+        requested.append(w)
+        return {mu: 1}
+
+    for w, rows in enumerate(graded_rows([2, 3, 3, 3], [1, 2], row)):
+        # no row of a later block is built before this one is handed out
+        assert max(requested, default=0) <= w
+        assert all(r for r in rows)
+    assert max(requested) == 3

@@ -99,18 +99,64 @@ def test_tensor_check_solves_each_kernel_once(monkeypatch):
     from diffhom import suite, tensors
 
     solved = []
-    original = tensors.invariant_tensor_basis
+    original = tensors._box_dimension
 
     def counting(k, d, *args, **kwargs):
         solved.append((k, d))
         return original(k, d, *args, **kwargs)
 
-    monkeypatch.setattr(tensors, "invariant_tensor_basis", counting)
+    monkeypatch.setattr(tensors, "_box_dimension", counting)
+    monkeypatch.setattr(tensors, "invariant_tensor_basis", refuse_tensor_basis)
     checks = [c for c in build_checks(SuiteConfig()) if c.check_id.startswith("03-")]
     assert [c.inputs["d"] for c in checks] == list(suite.TENSOR_DEGREES)
     assert all(check.runner()[2] for check in checks)
-    # the Wronskian row's kernel dimension is the dim row for d <= WRONSKIAN_BASIS_MAX
+    # the Wronskian row's kernel dimension is the dim row for d <= WRONSKIAN_BASIS_MAX;
+    # each degree's kernel is counted by rank, once, and never built
     assert sorted(solved) == [(d - 1, d) for d in suite.TENSOR_DEGREES]
+
+
+def refuse_tensor_basis(*args, **kwargs):
+    raise AssertionError("a dimension claim built the invariant tensors")
+
+
+def test_dimension_claims_count_by_rank(monkeypatch):
+    """Outside checks 09 and 10, which compare bases, a default run counts its
+    dimensions by rank: no RREF back-substitution, no invariant tensor and no
+    jets basis."""
+    from dataclasses import replace
+
+    from diffhom import catalog, jets, suite, tensors
+    from diffhom.linalg import Echelon
+
+    current, substituted, bases = [None], [], []
+    pivots = Echelon.pivots.fget
+
+    def counting_pivots(self):
+        if not self._reduced:
+            substituted.append(current[0])
+        return pivots(self)
+
+    def tagged(check):
+        def runner():
+            current[0] = check.check_id.split("-")[0]
+            return check.runner()
+
+        return replace(check, runner=runner)
+
+    def counting_basis(ctx, caps=None):
+        bases.append(ctx)
+        return basis(ctx, caps)
+
+    checks, basis = suite.build_checks, jets.diff_homog_basis
+    monkeypatch.setattr(Echelon, "pivots", property(counting_pivots))
+    monkeypatch.setattr(suite, "build_checks", lambda cfg: [tagged(c) for c in checks(cfg)])
+    monkeypatch.setattr(tensors, "invariant_tensor_basis", refuse_tensor_basis)
+    monkeypatch.setattr(jets, "diff_homog_basis", counting_basis)
+    monkeypatch.setattr(catalog, "diff_homog_basis", counting_basis)
+    assert run_suite().exit_code == 0
+    assert set(substituted) == {"09", "10"}
+    # all from the quotient (10) and generation (18) rows of checks 09 and 10
+    assert (len(bases), len(set(bases))) == (28, 16)
 
 
 def test_default_suite_covers_all_criteria():

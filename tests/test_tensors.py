@@ -11,11 +11,12 @@ from math import factorial
 import pytest
 
 from diffhom import jets, tensors
-from diffhom.errors import IndexOutOfRangeError
+from diffhom.errors import IndexOutOfRangeError, ResourceLimitError
 from diffhom.harmonic import apply_poly_operator, elementary_symmetric, ik_presentation, perp_basis
 from diffhom.jets import JetContext, is_diff_homogeneous
 from diffhom.linalg import Echelon, echelon_of, nullspace, rank_of
 from diffhom.polynomials import Poly, jet_var, slot_var, z_var
+from diffhom.resources import ResourceCaps
 from diffhom.tensors import (
     Tensor,
     canonical_wronskian_exponents,
@@ -348,7 +349,7 @@ class TestOneRowBuilder:
     )
     def test_one_jet_block_call(self, solve, k, d, monkeypatch):
         assert tensors._multidegree_kernels is jets._multidegree_kernels
-        assert not hasattr(tensors, "graded_kernels")
+        assert not hasattr(tensors, "graded_rows")
         calls = []
         original = jets._multidegree_kernels
 
@@ -359,6 +360,37 @@ class TestOneRowBuilder:
         monkeypatch.setattr(tensors, "_multidegree_kernels", recording)
         solve()
         assert calls == [((1,) * d, k)]
+
+
+# k <= 64 leaves out only d = 1 above it, whose one-column grades take seconds in all
+BOX_DIMENSION_CASES = [(k, d) for d in range(1, 11) for k in range(65) if (k + 1) ** d <= 1024]
+
+
+class TestBoxDimension:
+    """`_box_dimension` counts `invariant_tensor_basis` by rank: per grade, the
+    column count minus the rank of the multilinear block's kept rows."""
+
+    @pytest.mark.parametrize("k,d", BOX_DIMENSION_CASES)
+    def test_counts_the_basis(self, k, d):
+        assert tensors._box_dimension(k, d) == len(invariant_tensor_basis(k, d))
+
+    def test_builds_no_rref_and_no_kernel_vector(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a kernel was read")
+
+        monkeypatch.setattr(Echelon, "pivots", property(refused))
+        monkeypatch.setattr(jets, "nullspace", refused)
+        assert tensors._box_dimension(4, 5) == factorial(5)
+
+    @pytest.mark.parametrize("k,d", [(4, 5), (2, 7)])
+    def test_caps_like_the_basis(self, k, d):
+        box = (k + 1) ** d
+        messages = []
+        for count in (tensors._box_dimension, invariant_tensor_basis):
+            with pytest.raises(ResourceLimitError) as refused:
+                count(k, d, ResourceCaps(max_box=box - 1))
+            messages.append(str(refused.value))
+        assert messages == [f"max_box: needed {box}, cap is {box - 1}"] * 2
 
 
 class TestWronskian:
